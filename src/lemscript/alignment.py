@@ -1,36 +1,58 @@
 """Deterministic string alignment primitives used by all three encoders.
 
+An alignment of a to b is returned as an edit script: a string over four
+ops, read left to right, each consuming characters of a and producing
+characters of b:
+
+    MATCH   "="  consume a[i], produce b[j] (a[i] == b[j])
+    REPLACE "~"  consume a[i], produce b[j] (a[i] != b[j])
+    DELETE  "-"  consume a[i]
+    INSERT  "+"  produce b[j]
+
 Both aligners resolve cost ties with a fixed left-to-right preference so
-identical inputs always yield identical op sequences. Implementation: a
-suffix-cost DP matrix (cell [i][j] holds the optimal cost of aligning
-a[i:] with b[j:]) followed by a forward walk from (0, 0) that takes, at
-every position, the first move in the preference order that stays on an
-optimal path. The preference at each alignment point is
+identical inputs always yield identical scripts. A forward walk from
+(0, 0) takes, at every position, the first move in the preference order
+that stays on an optimal path:
 
     MATCH > REPLACE > DELETE > INSERT   (levenshtein_align, default)
     MATCH > DELETE > REPLACE > INSERT   (levenshtein_align, delete_before_replace)
     MATCH > DELETE > INSERT             (min_script_align; REPLACE disabled)
 
-A shared common prefix is consumed before the DP: whenever the current
-characters are equal, MATCH is both optimal and first in preference, so
-trimming is exactly what the walk would do. (A common-suffix trim is NOT
-equivalent: it can reorder inserts around the suffix.)
+Under both cost regimes MATCH at equal characters is always optimal, so
+the walk only has to decide between the other moves at unequal ones.
+It decides with one bit test per step on the column vectors of the
+suffix DP (cell [i][j] = optimal cost of aligning a[i:] with b[j:]),
+computed as the prefix DP of the reversed strings, a bit per character
+of a, a column per character of b:
+
+- levenshtein_align (unit costs): the Myers/Hyyrö bit-vector edit
+  distance. DELETE is optimal at (i, j) iff the vertical delta between
+  rows i and i + 1 is +1 (the VP bit), REPLACE iff the diagonal delta is
+  not 0 (the D0 bit is clear).
+- min_script_align (copy 1, delete 1, insert 2): a script with k matches
+  costs k + (|a| - k) + 2(|b| - k), so the minimum is
+  |a| + 2(|b| - LCS(a, b)) with LCS the longest common subsequence, and
+  the optimal scripts are exactly the LCS alignments. DELETE is optimal
+  iff dropping a[i] keeps the LCS of the suffixes, which is a set bit of
+  the Allison-Dix/Hyyrö bit-parallel LCS vector.
+
+A shared common prefix is consumed before the columns are built:
+whenever the current characters are equal, MATCH is both optimal and
+first in preference, so trimming is exactly what the walk would do. A
+common-suffix trim is NOT equivalent, because it pins the suffix to the
+end of the script while the walk may match it earlier and emit the
+remaining inserts after it: levenshtein_align("ba", "caa") is "~=+", a
+suffix trim would give "~+=".
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-MATCH = "match"
-REPLACE = "replace"
-DELETE = "delete"
-INSERT = "insert"
-
-
-class AlignOp(NamedTuple):
-    kind: str
-    a_char: str | None  # consumed source character (MATCH/REPLACE/DELETE)
-    b_char: str | None  # produced target character (MATCH/REPLACE/INSERT)
+MATCH = "="
+REPLACE = "~"
+DELETE = "-"
+INSERT = "+"
 
 
 class LcsResult(NamedTuple):
@@ -44,197 +66,108 @@ def longest_common_substring(a: str, b: str) -> LcsResult:
 
     Returns (0, 0, 0) when the strings share no character.
     """
-    if not a or not b:
-        return LcsResult(0, 0, 0)
     if a == b:
         return LcsResult(0, 0, len(a))
-    best_len = 0
-    best_a = 0
-    best_b = 0
-    n = len(b)
-    bt = tuple(b)
-    prev = [0] * (n + 1)
-    for i, ca in enumerate(a):
-        cur = [0] * (n + 1)
-        for j in range(n):
-            if ca == bt[j]:
-                length = prev[j] + 1
-                cur[j + 1] = length
-                # strict > keeps the first (leftmost-in-a, then -in-b) maximum
-                if length > best_len:
-                    best_len = length
-                    best_a = i - length + 1
-                    best_b = j - length + 1
-        prev = cur
-    return LcsResult(best_a, best_b, best_len)
+    best = best_a = 0
+    i = 0
+    # each start in a only has to beat the best so far; substring search
+    # in b and find() keep every comparison in C
+    while i + best < len(a):
+        length = best + 1
+        if a[i : i + length] in b:
+            while i + length < len(a) and a[i : i + length + 1] in b:
+                length += 1
+            best = length
+            best_a = i
+        i += 1
+    if not best:
+        return LcsResult(0, 0, 0)
+    return LcsResult(best_a, b.find(a[best_a : best_a + best]), best)
 
 
-def levenshtein_align(a: str, b: str, delete_before_replace: bool = False) -> list[AlignOp]:
-    """Minimal unit-cost alignment of a to b with fixed tie-breaking.
+def levenshtein_align(a: str, b: str, delete_before_replace: bool = False) -> str:
+    """Minimal unit-cost edit script from a to b with fixed tie-breaking.
 
     MATCH costs 0; REPLACE, DELETE and INSERT cost 1 each, so the number
     of non-MATCH ops equals the Levenshtein distance.
     """
-    k = _common_prefix(a, b)
-    ops = [AlignOp(MATCH, a[i], a[i]) for i in range(k)]
-    ta = a[k:]
-    tb = b[k:]
-    if not ta:
-        ops.extend(AlignOp(INSERT, None, c) for c in tb)
-    elif not tb:
-        ops.extend(AlignOp(DELETE, c, None) for c in ta)
-    else:
-        costs = _suffix_costs(ta, tb, 0, 1, 1, 1)
-        ops.extend(_walk(ta, tb, costs, 0, 1, 1, 1, delete_before_replace))
-    return ops
+    return _align(a, b, True, delete_before_replace)
 
 
-def min_script_align(
-    a: str,
-    b: str,
-    insert_cost: int = 2,
-    delete_cost: int = 1,
-    match_cost: int = 1,
-) -> list[AlignOp]:
-    """Minimal-cost alignment using only MATCH/DELETE/INSERT.
+def min_script_align(a: str, b: str) -> str:
+    """Minimal-cost edit script using only MATCH/DELETE/INSERT.
 
-    With the default costs the total equals the serialized script length
-    of the udpipe op alphabet (copy and delete are one character, insert
-    is two), so the alignment minimizes label length rather than edit
-    count. Ties place DELETE before INSERT at each alignment point.
+    Copy and delete cost 1, insert costs 2: the total equals the
+    serialized script length of the udpipe op alphabet, so the alignment
+    minimizes label length rather than edit count. Ties place DELETE
+    before INSERT at each alignment point.
     """
-    if insert_cost <= 0 or delete_cost <= 0:
-        raise ValueError("insert_cost and delete_cost must be positive")
-    k = _common_prefix(a, b)
-    ops = [AlignOp(MATCH, a[i], a[i]) for i in range(k)]
-    ta = a[k:]
-    tb = b[k:]
-    if not ta:
-        ops.extend(AlignOp(INSERT, None, c) for c in tb)
-    elif not tb:
-        ops.extend(AlignOp(DELETE, c, None) for c in ta)
-    else:
-        costs = _suffix_costs(ta, tb, match_cost, None, delete_cost, insert_cost)
-        ops.extend(_walk(ta, tb, costs, match_cost, None, delete_cost, insert_cost, False))
-    return ops
+    return _align(a, b, False, True)
 
 
-def replay(ops: list[AlignOp]) -> str:
-    """Rebuild the target string an alignment produces."""
-    return "".join(op.b_char for op in ops if op.b_char is not None)
-
-
-def source_of(ops: list[AlignOp]) -> str:
-    """Rebuild the source string an alignment consumes."""
-    return "".join(op.a_char for op in ops if op.a_char is not None)
-
-
-def _common_prefix(a: str, b: str) -> int:
+def _align(a: str, b: str, replace: bool, delete_first: bool) -> str:
     k = 0
     limit = min(len(a), len(b))
     while k < limit and a[k] == b[k]:
         k += 1
-    return k
-
-
-def _suffix_costs(
-    a: str,
-    b: str,
-    match_cost: int,
-    replace_cost: int | None,
-    delete_cost: int,
-    insert_cost: int,
-) -> list[list[int]]:
-    """costs[i][j] = minimal cost of aligning a[i:] with b[j:]."""
+    if k:
+        a = a[k:]
+        b = b[k:]
     m = len(a)
     n = len(b)
-    # a disabled REPLACE becomes a cost no optimal path can afford
-    rep = replace_cost if replace_cost is not None else (m + n + 2) * (delete_cost + insert_cost)
-    bt = tuple(b)  # tuple indexing avoids per-access char object creation
-    rows: list[list[int]] = [[] for _ in range(m + 1)]
-    rows[m] = [(n - j) * insert_cost for j in range(n + 1)]
-    for i in range(m - 1, -1, -1):
-        ai = a[i]
-        below = rows[i + 1]
-        row = [0] * (n + 1)
-        right = row[n] = below[n] + delete_cost
-        diag = below[n]
+    if not m or not n:
+        return MATCH * k + DELETE * m + INSERT * n
+
+    # bit m-1-i stands for a[i]; column j is the DP column of b[j:]
+    peq: dict[str, int] = {}
+    bit = 1 << m
+    for c in a:
+        bit >>= 1
+        peq[c] = peq.get(c, 0) | bit
+    mask = (1 << m) - 1
+    drop = [0] * n  # bit set: DELETE optimal
+    sub = [0] * n   # bit set: REPLACE optimal
+    if replace:
+        vp = mask
+        vn = 0
         for j in range(n - 1, -1, -1):
-            down = below[j]
-            if ai == bt[j]:
-                # MATCH at equal characters is optimal under both cost
-                # regimes used here (unit costs, and 1/1/2 copy/delete/insert)
-                v = diag + match_cost
-            else:
-                v = diag + rep
-                t = down + delete_cost
-                if t < v:
-                    v = t
-            t = right + insert_cost
-            if t < v:
-                v = t
-            row[j] = v
-            right = v
-            diag = down
-        rows[i] = row
-    return rows
+            eq = peq.get(b[j], 0)
+            d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+            hp = ((vn | ~(d0 | vp)) << 1) | 1  # row 0 rises by 1 per column
+            sub[j] = ~d0
+            vp = ((vp & d0) << 1 | ~(d0 | hp)) & mask
+            vn = d0 & hp & mask
+            drop[j] = vp
+    else:
+        v = mask  # bit set: vertical LCS delta 0
+        for j in range(n - 1, -1, -1):
+            u = v & peq.get(b[j], 0)
+            v = ((v + u) | (v - u)) & mask
+            drop[j] = v
 
-
-def _walk(
-    a: str,
-    b: str,
-    costs: list[list[int]],
-    match_cost: int,
-    replace_cost: int | None,
-    delete_cost: int,
-    insert_cost: int,
-    delete_before_replace: bool,
-) -> list[AlignOp]:
-    m = len(a)
-    n = len(b)
-    at = tuple(a)
-    bt = tuple(b)
-    i = 0
-    j = 0
-    row = costs[0]
-    below = costs[1] if m else None
-    ops: list[AlignOp] = []
-    while i < m or j < n:
-        here = row[j]
-        if i < m and j < n:
-            ai = at[i]
-            bj = bt[j]
-            if ai == bj and here == match_cost + below[j + 1]:
-                ops.append(AlignOp(MATCH, ai, bj))
-                i += 1
-                j += 1
-                row = costs[i]
-                below = costs[i + 1] if i < m else None
-                continue
-            replace_ok = (
-                replace_cost is not None
-                and ai != bj
-                and here == replace_cost + below[j + 1]
-            )
-            delete_ok = here == delete_cost + below[j]
-            if replace_ok and not (delete_before_replace and delete_ok):
-                ops.append(AlignOp(REPLACE, ai, bj))
-                i += 1
-                j += 1
-                row = costs[i]
-                below = costs[i + 1] if i < m else None
-                continue
-        else:
-            delete_ok = i < m and here == delete_cost + below[j]
-        if delete_ok:
-            ops.append(AlignOp(DELETE, at[i], None))
+    i = j = 0
+    bit = 1 << (m - 1)
+    script = MATCH * k
+    while i < m and j < n:
+        if a[i] == b[j]:
+            script += MATCH
             i += 1
-            row = costs[i]
-            below = costs[i + 1] if i < m else None
-            continue
-        if j < n and here == insert_cost + row[j + 1]:
-            ops.append(AlignOp(INSERT, None, bt[j]))
             j += 1
-            continue
-        raise AssertionError("no optimal move from an optimal cell")  # pragma: no cover
-    return ops
+            bit >>= 1
+        elif delete_first and drop[j] & bit:
+            script += DELETE
+            i += 1
+            bit >>= 1
+        elif sub[j] & bit:
+            script += REPLACE
+            i += 1
+            j += 1
+            bit >>= 1
+        elif drop[j] & bit:
+            script += DELETE
+            i += 1
+            bit >>= 1
+        else:
+            script += INSERT
+            j += 1
+    return script + DELETE * (m - i) + INSERT * (n - j)

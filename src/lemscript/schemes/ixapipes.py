@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ..alignment import DELETE, INSERT, MATCH, levenshtein_align
+from ..alignment import DELETE, INSERT, REPLACE, levenshtein_align
 from ..casing import CaseClass, char_class, shift_lower
 from ..errors import CharMismatch, EmptyInput, IndexOutOfRange, ParseError, SchemeMismatch
 from ..model import Scheme, SesLabel
@@ -42,23 +42,32 @@ def encode(form: str, lemma: str) -> SesLabel:
     if base == lemma:
         return SesLabel(Scheme.IXAPIPES, LOWER_FLAG if lower_first else IDENTITY)
 
-    ops = levenshtein_align(base[::-1], lemma[::-1], delete_before_replace=True)
-    tokens: list[IxaToken] = []
+    source = base[::-1]
+    target = lemma[::-1]
+    # the script visits indices in increasing order; one chunk per index
+    # holds its insert run, latest character first, then its D or R
+    chunks: list[str] = []
+    chunk = ""
     pos = 0
-    for op in ops:
-        if op.kind == MATCH:
-            pos += 1
-        elif op.kind == DELETE:
-            tokens.append(IxaToken("D", pos, op.a_char))
-            pos += 1
-        elif op.kind == INSERT:
-            tokens.append(IxaToken("I", pos, op.b_char))
+    j = 0
+    for op in levenshtein_align(source, target, delete_before_replace=True):
+        if op == INSERT:
+            chunk = f"I{pos}{target[j]}" + chunk
+            j += 1
+            continue
+        if op == DELETE:
+            chunk += f"D{pos}{source[pos]}"
+        elif op == REPLACE:
+            chunk += f"R{pos}{source[pos]}{target[j]}"
+            j += 1
         else:
-            tokens.append(IxaToken("R", pos, op.a_char + op.b_char))
-            pos += 1
-    tokens = _reverse_insert_runs(tokens)
-    tokens.sort(key=lambda t: -t.index)  # stable: insert runs keep their order
-    text = "".join(f"{kind}{index}{chars}" for kind, index, chars in tokens)
+            j += 1
+        if chunk:
+            chunks.append(chunk)
+            chunk = ""
+        pos += 1
+    chunks.append(chunk)
+    text = "".join(reversed(chunks))
     return SesLabel(Scheme.IXAPIPES, LOWER_FLAG + text if lower_first else text)
 
 
@@ -163,20 +172,3 @@ def _parse_tokens(text: str, pos: int) -> list[IxaToken] | None:
             token = IxaToken(kind, int(text[pos + 1 : end]), text[end : end + arity])
             return [token] + rest
     return None
-
-
-def _reverse_insert_runs(tokens: list[IxaToken]) -> list[IxaToken]:
-    out: list[IxaToken] = []
-    k = 0
-    while k < len(tokens):
-        t = tokens[k]
-        if t.kind != "I":
-            out.append(t)
-            k += 1
-            continue
-        j = k
-        while j < len(tokens) and tokens[j].kind == "I" and tokens[j].index == t.index:
-            j += 1
-        out.extend(reversed(tokens[k:j]))
-        k = j
-    return out

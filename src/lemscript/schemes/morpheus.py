@@ -16,7 +16,7 @@ lowercases its character is re-labelled "l".
 
 from __future__ import annotations
 
-from ..alignment import DELETE, INSERT, MATCH, levenshtein_align
+from ..alignment import DELETE, INSERT, MATCH, REPLACE, levenshtein_align
 from ..casing import CaseClass, char_class, shift_lower
 from ..errors import ArityMismatch, EmptyInput, ParseError, SchemeMismatch
 from ..model import Scheme, SesLabel
@@ -34,40 +34,28 @@ def encode(form: str, lemma: str) -> SesLabel:
     if form == lemma:
         return SesLabel(Scheme.MORPHEUS, TOKEN_SEP.join(SAME * len(form)))
 
-    # tokens[k] describes form[k]; (kind, payload), payload for "r" only
-    tokens: list[tuple[str, str]] = []
-    leading: list[str] = []  # insert run seen before any consuming op
-    for op in levenshtein_align(form, lemma):
-        if op.kind == INSERT:
-            if tokens:
-                tokens[-1] = _absorb_after(tokens[-1], form[len(tokens) - 1], op.b_char)
-            else:
-                leading.append(op.b_char)
+    # one token per consuming op; a token's payload collects the inserts
+    # before it (leading run only), its own character and the inserts after
+    parts: list[str] = []
+    op = None
+    payload = ""
+    j = 0  # next lemma character
+    for step in levenshtein_align(form, lemma):
+        if step == INSERT:
+            payload += lemma[j]
+            j += 1
             continue
-        if op.kind == MATCH:
-            token = (SAME, "")
-        elif op.kind == DELETE:
-            token = (DEL, "")
-        else:
-            token = ("r", op.b_char)
-        if leading:
-            token = _absorb_before(token, form[len(tokens)], "".join(leading))
-            leading.clear()
-        tokens.append(token)
-
-    parts = []
-    for pos, (kind, payload) in enumerate(tokens):
-        if (
-            kind == "r"
-            and len(payload) == 1
-            and char_class(form[pos]) is CaseClass.UPPER
-            and payload == shift_lower(form[pos])
-        ):
-            parts.append(LOWER)
-        elif kind == "r":
-            parts.append(REPLACE_MARK + payload)
-        else:
-            parts.append(kind)
+        if op is not None:
+            parts.append(_token(op, form[len(parts)], payload))
+            payload = ""
+        op = step
+        if op == MATCH:
+            payload += form[len(parts)]
+            j += 1
+        elif op == REPLACE:
+            payload += lemma[j]
+            j += 1
+    parts.append(_token(op, form[-1], payload))
     return SesLabel(Scheme.MORPHEUS, TOKEN_SEP.join(parts))
 
 
@@ -106,20 +94,15 @@ def parse_label(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
-def _absorb_after(token: tuple[str, str], form_char: str, inserted: str) -> tuple[str, str]:
-    kind, payload = token
-    if kind == SAME:
-        return ("r", form_char + inserted)
-    if kind == "r":
-        return ("r", payload + inserted)
-    # delete followed by insert collapses to a replace
-    return ("r", inserted)
-
-
-def _absorb_before(token: tuple[str, str], form_char: str, inserted: str) -> tuple[str, str]:
-    kind, payload = token
-    if kind == SAME:
-        return ("r", inserted + form_char)
-    if kind == "r":
-        return ("r", inserted + payload)
-    return ("r", inserted)
+def _token(op: str, form_char: str, payload: str) -> str:
+    if op == MATCH and payload == form_char:
+        return SAME
+    if op == DELETE and not payload:
+        return DEL
+    if (
+        len(payload) == 1
+        and char_class(form_char) is CaseClass.UPPER
+        and payload == shift_lower(form_char)
+    ):
+        return LOWER
+    return REPLACE_MARK + payload

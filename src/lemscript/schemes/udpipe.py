@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..alignment import DELETE, INSERT, MATCH, AlignOp, longest_common_substring, min_script_align
+from ..alignment import DELETE, MATCH, longest_common_substring, min_script_align
 from ..casing import CaseClass, char_class, fold_lower, fold_upper
 from ..errors import EmptyInput, LengthMismatch, ParseError, SchemeMismatch
 from ..model import Scheme, SesLabel
@@ -59,17 +59,16 @@ def encode(form: str, lemma: str) -> SesLabel:
     root = longest_common_substring(low_form, low_lemma)
     if root.length == 0:
         return SesLabel(Scheme.UDPIPE, ABSOLUTE_MARK + lemma)
-    prefix = min_script_align(low_form[: root.start_in_a], low_lemma[: root.start_in_b])
-    suffix = min_script_align(
-        low_form[root.start_in_a + root.length :],
-        low_lemma[root.start_in_b + root.length :],
-    )
+    head = low_lemma[: root.start_in_b]
+    tail = low_lemma[root.start_in_b + root.length :]
+    prefix = min_script_align(low_form[: root.start_in_a], head)
+    suffix = min_script_align(low_form[root.start_in_a + root.length :], tail)
     casing = _casing_segments(lemma)
     text = "{};d{}{}{}".format(
         SCRIPT_SEP.join(_serialize_segment(seg) for seg in casing),
-        _serialize_ops(prefix),
+        _serialize_ops(prefix, head),
         SCRIPT_SEP,
-        _serialize_ops(suffix),
+        _serialize_ops(suffix, tail),
     )
     return SesLabel(Scheme.UDPIPE, text)
 
@@ -182,17 +181,19 @@ def _serialize_segment(segment: tuple[CaseClass, int]) -> str:
     return f"{mark}{start}"
 
 
-def _serialize_ops(ops: list[AlignOp]) -> str:
+def _serialize_ops(script: str, target: str) -> str:
+    # a min-script alignment producing target; it never replaces
     parts = []
-    for op in ops:
-        if op.kind == MATCH:
-            parts.append(COPY_MARK)
-        elif op.kind == DELETE:
+    j = 0
+    for op in script:
+        if op == DELETE:
             parts.append(DELETE_MARK)
-        elif op.kind == INSERT:
-            parts.append(INSERT_MARK + op.b_char)
-        else:  # pragma: no cover - min_script_align never emits REPLACE
-            raise AssertionError(op.kind)
+        elif op == MATCH:
+            parts.append(COPY_MARK)
+            j += 1
+        else:
+            parts.append(INSERT_MARK + target[j])
+            j += 1
     return "".join(parts)
 
 

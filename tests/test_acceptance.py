@@ -18,15 +18,10 @@ from pathlib import Path
 
 import pytest
 
+from align_reference import check_script
 from conftest import COMPARISON_LABELS, COMPARISON_PAIRS, corpus_of
 from lemscript import mcnemar
-from lemscript.alignment import (
-    MATCH,
-    levenshtein_align,
-    longest_common_substring,
-    replay,
-    source_of,
-)
+from lemscript.alignment import MATCH, levenshtein_align, longest_common_substring
 from lemscript.baseline import predict_corpus, train_baseline
 from lemscript.corpus_io import label_corpus, parse_conllu
 from lemscript.metrics import oov_report, unique_labels, word_accuracy
@@ -210,9 +205,9 @@ def test_criterion_5_alignment_oracles_and_mcnemar():
     dist = _distance_oracle_recursive()
 
     def check(a: str, b: str) -> None:
-        ops = levenshtein_align(a, b)
-        assert sum(1 for op in ops if op.kind != MATCH) == dist(a, b), (a, b)
-        assert source_of(ops) == a and replay(ops) == b, (a, b)
+        script = levenshtein_align(a, b)
+        assert len(script) - script.count(MATCH) == dist(a, b), (a, b)
+        check_script(script, a, b)
         got = longest_common_substring(a, b)
         assert tuple(got) == _lcs_oracle(a, b), (a, b)
 

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 import random
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from align_reference import check_script, reference_levenshtein, reference_min_script
 from lemscript.alignment import (
     DELETE,
     INSERT,
@@ -19,9 +20,9 @@ from lemscript.alignment import (
     levenshtein_align,
     longest_common_substring,
     min_script_align,
-    replay,
-    source_of,
 )
+from lemscript.model import Scheme
+from lemscript.schemes import decode, encode
 
 
 # --- independent oracles -------------------------------------------------
@@ -53,8 +54,8 @@ def distance_recursive(a: str, b: str) -> int:
     )
 
 
-def edit_count(ops) -> int:
-    return sum(1 for op in ops if op.kind != MATCH)
+def edit_count(script: str) -> int:
+    return len(script) - script.count(MATCH)
 
 
 WORDS = st.text(alphabet="abcdабвгßİı", min_size=0, max_size=8)
@@ -92,28 +93,18 @@ def test_lcs_property(a, b):
 # --- levenshtein_align ----------------------------------------------------
 
 def test_levenshtein_fixtures():
-    assert levenshtein_align("did", "do") == [
-        (MATCH, "d", "d"),
-        (REPLACE, "i", "o"),
-        (DELETE, "d", None),
-    ]
-    assert levenshtein_align("", "ab") == [(INSERT, None, "a"), (INSERT, None, "b")]
-    assert levenshtein_align("cats", "cat") == [
-        (MATCH, "c", "c"),
-        (MATCH, "a", "a"),
-        (MATCH, "t", "t"),
-        (DELETE, "s", None),
-    ]
+    assert levenshtein_align("did", "do") == "=~-"
+    assert levenshtein_align("", "ab") == "++"
+    assert levenshtein_align("cats", "cat") == "===-"
 
 
 def test_levenshtein_small_universe_matches_distance_oracle():
     strings = ["".join(p) for n in range(4) for p in itertools.product("abcd", repeat=n)]
     for a in strings:
         for b in strings:
-            ops = levenshtein_align(a, b)
-            assert edit_count(ops) == distance_recursive(a, b), (a, b)
-            assert source_of(ops) == a
-            assert replay(ops) == b
+            script = levenshtein_align(a, b)
+            assert edit_count(script) == distance_recursive(a, b), (a, b)
+            check_script(script, a, b)
 
 
 def test_levenshtein_sampled_length6_universe():
@@ -123,10 +114,9 @@ def test_levenshtein_sampled_length6_universe():
         a = "".join(rng.choices(alphabet, k=rng.randint(0, 6)))
         b = "".join(rng.choices(alphabet, k=rng.randint(0, 6)))
         for tie in (False, True):
-            ops = levenshtein_align(a, b, delete_before_replace=tie)
-            assert edit_count(ops) == distance_recursive(a, b)
-            assert source_of(ops) == a
-            assert replay(ops) == b
+            script = levenshtein_align(a, b, delete_before_replace=tie)
+            assert edit_count(script) == distance_recursive(a, b)
+            check_script(script, a, b)
 
 
 def test_levenshtein_deterministic():
@@ -137,10 +127,9 @@ def test_levenshtein_deterministic():
 
 @given(WORDS, WORDS)
 def test_levenshtein_replay_property(a, b):
-    ops = levenshtein_align(a, b)
-    assert source_of(ops) == a
-    assert replay(ops) == b
-    assert edit_count(ops) == distance_recursive(a, b)
+    script = levenshtein_align(a, b)
+    check_script(script, a, b)
+    assert edit_count(script) == distance_recursive(a, b)
 
 
 def test_tie_order_flag_changes_only_tied_choices():
@@ -148,20 +137,16 @@ def test_tie_order_flag_changes_only_tied_choices():
     flipped = levenshtein_align("did", "od", delete_before_replace=True)
     assert edit_count(default) == edit_count(flipped) == 2
     assert default != flipped
-    assert default[0].kind == REPLACE
-    assert flipped[0].kind == DELETE
+    assert default[0] == REPLACE
+    assert flipped[0] == DELETE
 
 
 # --- min_script_align -----------------------------------------------------
 
 def test_min_script_fixtures():
-    assert min_script_align("id", "o") == [
-        (DELETE, "i", None),
-        (DELETE, "d", None),
-        (INSERT, None, "o"),
-    ]
-    assert min_script_align("a", "a") == [(MATCH, "a", "a")]
-    assert min_script_align("ab", "b") == [(DELETE, "a", None), (MATCH, "b", "b")]
+    assert min_script_align("id", "o") == "--+"
+    assert min_script_align("a", "a") == "="
+    assert min_script_align("ab", "b") == "-="
 
 
 def test_min_script_never_replaces_and_replays():
@@ -169,10 +154,9 @@ def test_min_script_never_replaces_and_replays():
     for _ in range(2000):
         a = "".join(rng.choices("abcd", k=rng.randint(0, 6)))
         b = "".join(rng.choices("abcd", k=rng.randint(0, 6)))
-        ops = min_script_align(a, b)
-        assert all(op.kind != REPLACE for op in ops)
-        assert source_of(ops) == a
-        assert replay(ops) == b
+        script = min_script_align(a, b)
+        assert REPLACE not in script
+        check_script(script, a, b)
 
 
 def test_min_script_cost_is_minimal_by_enumeration():
@@ -189,9 +173,9 @@ def test_min_script_cost_is_minimal_by_enumeration():
             options.append(1 + best_cost(a[1:], b[1:]))
         return min(options)
 
-    def cost(ops) -> int:
+    def cost(script: str) -> int:
         table = {MATCH: 1, DELETE: 1, INSERT: 2}
-        return sum(table[op.kind] for op in ops)
+        return sum(table[op] for op in script)
 
     strings = ["".join(p) for n in range(4) for p in itertools.product("ab", repeat=n)]
     for a in strings:
@@ -199,8 +183,49 @@ def test_min_script_cost_is_minimal_by_enumeration():
             assert cost(min_script_align(a, b)) == best_cost(a, b), (a, b)
 
 
-def test_min_script_rejects_non_positive_costs():
-    with pytest.raises(ValueError):
-        min_script_align("a", "b", insert_cost=0)
-    with pytest.raises(ValueError):
-        min_script_align("a", "b", delete_cost=-1)
+# --- bit-exact against the reference dynamic program ----------------------
+
+def assert_same_as_reference(a: str, b: str) -> None:
+    assert levenshtein_align(a, b) == reference_levenshtein(a, b), (a, b)
+    assert levenshtein_align(a, b, delete_before_replace=True) == (
+        reference_levenshtein(a, b, delete_before_replace=True)
+    ), (a, b)
+    assert min_script_align(a, b) == reference_min_script(a, b), (a, b)
+
+
+def test_small_universe_matches_reference():
+    """Every pair over abcd up to length 4; up to 6 with LEMSCRIPT_EXHAUSTIVE=1 (slow)."""
+    longest = 6 if os.environ.get("LEMSCRIPT_EXHAUSTIVE") else 4
+    strings = [
+        "".join(p) for n in range(longest + 1) for p in itertools.product("abcd", repeat=n)
+    ]
+    for a in strings:
+        for b in strings:
+            assert_same_as_reference(a, b)
+
+
+@given(WORDS, WORDS)
+def test_reference_property(a, b):
+    assert_same_as_reference(a, b)
+
+
+def test_multiword_bit_vectors_match_reference():
+    # 60-200 characters: the column vectors span several machine words
+    rng = random.Random(60200)
+    for _ in range(100):
+        a = "".join(rng.choices("abc", k=rng.randint(60, 200)))
+        b = "".join(rng.choices("abc", k=rng.randint(60, 200)))
+        assert_same_as_reference(a, b)
+
+
+# --- long tokens ----------------------------------------------------------
+
+def test_long_token_roundtrips_under_every_scheme():
+    rng = random.Random(4000)
+    form = "".join(rng.choices("abcdefgh", k=4000))
+    lemma = list(form)
+    for pos in rng.sample(range(4000), 200):
+        lemma[pos] = rng.choice("abcdefgh")
+    lemma = "".join(lemma)
+    for scheme in Scheme:
+        assert decode(form, encode(scheme, form, lemma)) == lemma, scheme
