@@ -16,7 +16,7 @@ from typing import IO
 
 from . import schemes
 from .corpus_io import LabeledCorpus
-from .errors import EmptyCorpus, LabelDecodeError
+from .errors import EmptyCorpus, FormatError, LabelDecodeError
 from .model import Corpus, Scheme, SesLabel
 
 
@@ -93,12 +93,22 @@ def save_model(model: BaselineModel, fp: IO[str]) -> None:
 
 
 def load_model(fp: IO[str]) -> BaselineModel:
-    payload = json.load(fp)
-    return BaselineModel(
-        scheme=Scheme(payload["scheme"]),
-        per_form=dict(payload["per_form"]),
-        fallback=payload["fallback"],
-    )
+    """Read save_model output.
+
+    Invalid JSON is reported at its line; a document that parses but is
+    not a model is reported at line 1.
+    """
+    try:
+        payload = json.load(fp)
+        scheme = Scheme(payload["scheme"])
+        per_form, fallback = dict(payload["per_form"]), payload["fallback"]
+    except json.JSONDecodeError as exc:
+        raise FormatError(exc.lineno, f"invalid model JSON: {exc.msg}") from None
+    except (LookupError, TypeError, ValueError) as exc:
+        raise FormatError(1, f"not a baseline model: {type(exc).__name__}: {exc}") from None
+    if not all(isinstance(text, str) and text for text in (fallback, *per_form.values())):
+        raise FormatError(1, "model labels must be non-empty strings")
+    return BaselineModel(scheme, per_form, fallback)
 
 
 def _majority(counts: Counter[str]) -> str:

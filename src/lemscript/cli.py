@@ -2,15 +2,19 @@
 
 Subcommands: encode, decode, stats, eval, mcnemar, compare, train,
 predict. Exit codes: 0 success, 1 contract failure (encode failures
-present), 2 usage or I/O error. All reports are deterministic given
-identical inputs and flags; JSON output uses sorted keys.
+present), 2 usage, I/O or input error; input errors name the file and
+line. All reports are deterministic given identical inputs and flags;
+JSON output uses sorted keys.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -112,23 +116,17 @@ def cmd_encode(args: argparse.Namespace) -> int:
     if args.output == "-" and len(targets) > 1:
         print("error: '-' output needs a single --scheme", file=sys.stderr)
         return 2
-    all_failures: dict[str, list[corpus_io.LabelFailure]] = {}
+    failures: dict[str, list[dict[str, object]]] = {}
     for scheme in targets:
-        labeled, failures = corpus_io.label_corpus(corpus, scheme)
-        all_failures[scheme.value] = failures
+        labeled, scheme_failures = corpus_io.label_corpus(corpus, scheme)
+        failures[scheme.value] = [asdict(f) for f in scheme_failures]
         path = args.output if len(targets) == 1 else _suffixed(args.output, scheme.value)
         with _open_out(path) as fp:
             corpus_io.write_labeled(labeled, fp)
-    total_failures = sum(len(v) for v in all_failures.values())
     if args.failures:
-        if len(targets) == 1:
-            payload: object = corpus_io.failures_to_dicts(all_failures[targets[0].value])
-        else:
-            payload = {k: corpus_io.failures_to_dicts(v) for k, v in all_failures.items()}
-        Path(args.failures).write_text(
-            json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        # a single scheme gets the bare failure array
+        _write_json(failures if len(targets) > 1 else failures[targets[0].value], args.failures)
+    total_failures = sum(len(v) for v in failures.values())
     if total_failures:
         print(f"{total_failures} token(s) failed to encode", file=sys.stderr)
         return 1
@@ -136,20 +134,21 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    scheme = Scheme(args.scheme)
-    with open(args.input, encoding="utf-8") as fp:
-        labeled = corpus_io.parse_labeled(fp, scheme)
+    labeled = corpus_io.read_file(args.input, corpus_io.parse_labeled, Scheme(args.scheme))
     warnings = 0
+    lemmas: list[list[str]] = []
+    for sentence in labeled.sentences:
+        row: list[str] = []
+        for tok in sentence:
+            try:
+                row.append(schemes.decode(tok.form, tok.label))
+            except LabelDecodeError:
+                row.append(tok.form)
+                warnings += 1
+        lemmas.append(row)
+    forms = ([tok.form for tok in sentence] for sentence in labeled.sentences)
     with _open_out(args.output) as out:
-        for sentence in labeled.sentences:
-            for tok in sentence:
-                try:
-                    lemma = schemes.decode(tok.form, tok.label)
-                except LabelDecodeError:
-                    lemma = tok.form
-                    warnings += 1
-                out.write(f"{tok.form}\t{lemma}\n")
-            out.write("\n")
+        corpus_io.write_lemmas(forms, lemmas, out)
     if warnings:
         print(f"{warnings} label(s) failed to decode; identity lemma used", file=sys.stderr)
     return 0
@@ -171,7 +170,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             "encode_failures": len(failures),
         }
     if args.format == "json":
-        _emit_json(report)
+        _write_json(report)
     else:
         print(f"tokens: {report['token_total']}  sentences: {report['sentence_total']}")
         print(f"{'scheme':<10} {'unique_labels':>13} {'labeled_tokens':>14}")
@@ -183,28 +182,18 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args.gold, args.adjust_propn)
-    gold = _gold_lemma_sentences(corpus)
-    pred = _read_predictions(args.pred)
-    report = _eval_report(gold, pred)
-    payload: dict[str, object] = {
-        "word_accuracy": report.word_accuracy,
-        "sentence_accuracy": report.sentence_accuracy,
-        "token_total": report.token_total,
-        "sentence_total": report.sentence_total,
-    }
+    pred = corpus_io.read_file(args.pred, corpus_io.parse_lemmas)
+    train_forms = None
     if args.train:
-        train_corpus = _load_corpus(args.train, args.adjust_propn)
-        train_forms = {
-            t.form for s in train_corpus.sentences for t in s.tokens if t.lemma is not None
-        }
-        forms = [t.form for s in corpus.sentences for t in s.tokens if t.lemma is not None]
-        inv, oov = metrics.inv_oov_accuracy(
-            train_forms, forms, _flatten(gold), _flatten(pred)
-        )
-        payload["inv_accuracy"] = inv
-        payload["oov_accuracy"] = oov
+        # every lemmatized train form counts as seen
+        train = _load_corpus(args.train, args.adjust_propn)
+        train_forms = {t.form for s in train.sentences for t in s.tokens if t.lemma is not None}
+    report = metrics.evaluate(corpus, pred, train_forms)
     if args.format == "json":
-        _emit_json(payload)
+        payload = asdict(report)
+        if not args.train:
+            del payload["inv_accuracy"], payload["oov_accuracy"]
+        _write_json(payload)
     else:
         print(f"word accuracy:     {report.word_accuracy:.4f} ({report.token_total} tokens)")
         print(
@@ -212,52 +201,39 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"({report.sentence_total} sentences)"
         )
         if args.train:
-            print(f"INV accuracy:      {_fmt_opt(payload['inv_accuracy'])}")
-            print(f"OOV accuracy:      {_fmt_opt(payload['oov_accuracy'])}")
+            print(f"INV accuracy:      {_fmt_opt(report.inv_accuracy)}")
+            print(f"OOV accuracy:      {_fmt_opt(report.oov_accuracy)}")
     return 0
 
 
 def cmd_mcnemar(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args.gold, args.adjust_propn)
-    gold = _gold_lemma_sentences(corpus)
-    pred_a = _read_predictions(args.pred_a)
-    pred_b = _read_predictions(args.pred_b)
-    if args.granularity == "word":
-        b, c = metrics.paired_outcomes(_flatten(gold), _flatten(pred_a), _flatten(pred_b))
-    else:
-        b, c = metrics.paired_sentence_outcomes(gold, pred_a, pred_b)
-    result = metrics.mcnemar(b, c, args.alpha)
+    pred_a = corpus_io.read_file(args.pred_a, corpus_io.parse_lemmas)
+    pred_b = corpus_io.read_file(args.pred_b, corpus_io.parse_lemmas)
+    result = _paired_test(metrics.gold_lemmas(corpus), pred_a, pred_b, args)
     if args.format == "json":
-        _emit_json(_mcnemar_dict(result, args.granularity))
+        _write_json(result)
     else:
-        print(f"b (A right, B wrong): {result.b}")
-        print(f"c (A wrong, B right): {result.c}")
-        print(f"statistic:            {result.statistic:.4f}")
-        print(f"p-value:              {result.p_value:.4g}")
-        verdict = "significant" if result.significant else "not significant"
-        print(f"verdict:              {verdict} at alpha={result.alpha}")
+        print(f"b (A right, B wrong): {result['b']}")
+        print(f"c (A wrong, B right): {result['c']}")
+        print(f"statistic:            {result['statistic']:.4f}")
+        print(f"p-value:              {result['p_value']:.4g}")
+        verdict = "significant" if result["significant"] else "not significant"
+        print(f"verdict:              {verdict} at alpha={result['alpha']}")
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     train_corpus = _load_corpus(args.train, args.adjust_propn)
     test_corpus = _load_corpus(args.test, args.adjust_propn)
-    gold = _gold_lemma_sentences(test_corpus)
 
-    report: dict[str, object] = {
-        "train": {
-            "path": args.train,
-            "tokens": train_corpus.token_count,
-            "sentences": train_corpus.sentence_count,
-        },
-        "test": {
-            "path": args.test,
-            "tokens": test_corpus.token_count,
-            "sentences": test_corpus.sentence_count,
-        },
-        "schemes": {},
-        "mcnemar": {},
-    }
+    report: dict[str, object] = {"schemes": {}, "mcnemar": {}}
+    for key, corpus in (("train", train_corpus), ("test", test_corpus)):
+        report[key] = {
+            "path": getattr(args, key),
+            "tokens": corpus.token_count,
+            "sentences": corpus.sentence_count,
+        }
     predictions: dict[str, list[list[str]]] = {}
     for scheme in ALL_SCHEMES:
         train_labeled, train_failures = corpus_io.label_corpus(train_corpus, scheme)
@@ -265,57 +241,38 @@ def cmd_compare(args: argparse.Namespace) -> int:
         model = baseline.train_baseline(train_labeled)
         pred, stats = baseline.predict_corpus(model, test_corpus, lemmatized_only=True)
         predictions[scheme.value] = pred
-        eval_report = _eval_report(gold, pred)
-        oov = metrics.oov_report(train_labeled, test_labeled)
+        # only the train forms that labeled successfully count as seen
         train_forms = {t.form for s in train_labeled.sentences for t in s}
-        forms = [t.form for s in test_corpus.sentences for t in s.tokens if t.lemma is not None]
-        inv_acc, oov_acc = metrics.inv_oov_accuracy(
-            train_forms, forms, _flatten(gold), _flatten(pred)
-        )
+        scores = metrics.evaluate(test_corpus, pred, train_forms)
+        oov = metrics.oov_report(train_labeled, test_labeled)
         report["schemes"][scheme.value] = {
             "unique_labels": metrics.unique_labels(train_labeled).unique_count,
             "encode_failures": len(train_failures) + len(test_failures),
             "baseline": {
-                "word_accuracy": eval_report.word_accuracy,
-                "sentence_accuracy": eval_report.sentence_accuracy,
-                "inv_accuracy": inv_acc,
-                "oov_accuracy": oov_acc,
+                "word_accuracy": scores.word_accuracy,
+                "sentence_accuracy": scores.sentence_accuracy,
+                "inv_accuracy": scores.inv_accuracy,
+                "oov_accuracy": scores.oov_accuracy,
                 "fallback_uses": stats.fallback_uses,
                 "decode_failures": stats.decode_failures,
             },
+            # the OovReport rates and flag, named without their "oov_" prefix
             "oov": {
-                "word_rate": oov.oov_word_rate,
-                "lemma_rate": oov.oov_lemma_rate,
-                "ses_rate": oov.oov_ses_rate,
-                "lemma_with_seen_ses_rate": oov.oov_lemma_with_seen_ses_rate,
-                "lemma_subset_empty": oov.oov_lemma_subset_empty,
+                name.removeprefix("oov_"): value
+                for name, value in asdict(oov).items()
+                if name != "token_total"
             },
         }
 
-    names = [s.value for s in ALL_SCHEMES]
-    for i, first in enumerate(names):
-        for second in names[i + 1 :]:
-            if args.granularity == "word":
-                b, c = metrics.paired_outcomes(
-                    _flatten(gold), _flatten(predictions[first]), _flatten(predictions[second])
-                )
-            else:
-                b, c = metrics.paired_sentence_outcomes(
-                    gold, predictions[first], predictions[second]
-                )
-            result = metrics.mcnemar(b, c, args.alpha)
-            report["mcnemar"][f"{first}_vs_{second}"] = _mcnemar_dict(
-                result, args.granularity
-            )
-
+    gold = metrics.gold_lemmas(test_corpus)
+    for first, second in itertools.combinations([s.value for s in ALL_SCHEMES], 2):
+        report["mcnemar"][f"{first}_vs_{second}"] = _paired_test(
+            gold, predictions[first], predictions[second], args
+        )
     if args.format == "text":
-        text = _compare_text(report)
+        _write(_compare_text(report), args.out)
     else:
-        text = json.dumps(report, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+        _write_json(report, args.out)
     return 0
 
 
@@ -357,15 +314,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    with open(args.model, encoding="utf-8") as fp:
-        model = baseline.load_model(fp)
+    model = corpus_io.read_file(args.model, baseline.load_model)
     corpus = corpus_io.read_conllu(args.input)
     pred, stats = baseline.predict_corpus(model, corpus)
+    forms = ([tok.form for tok in sentence.tokens] for sentence in corpus.sentences)
     with _open_out(args.output) as out:
-        for sentence, lemmas in zip(corpus.sentences, pred):
-            for tok, lemma in zip(sentence.tokens, lemmas):
-                out.write(f"{tok.form}\t{lemma}\n")
-            out.write("\n")
+        corpus_io.write_lemmas(forms, pred, out)
     if stats.decode_failures:
         print(
             f"{stats.decode_failures} prediction(s) fell back to the identity lemma",
@@ -396,54 +350,15 @@ def _load_corpus(path: str, adjust_propn: bool) -> Corpus:
     return corpus_io.adjust_propn_lemmas(corpus) if adjust_propn else corpus
 
 
-def _gold_lemma_sentences(corpus: Corpus) -> list[list[str]]:
-    return [
-        [t.lemma for t in s.tokens if t.lemma is not None] for s in corpus.sentences
-    ]
-
-
-def _read_predictions(path: str) -> list[list[str]]:
-    """Read decode/predict output: form<TAB>lemma rows, blank-line sentences."""
-    sentences: list[list[str]] = []
-    row: list[str] = []
-    with open(path, encoding="utf-8") as fp:
-        for raw in fp:
-            line = raw.rstrip("\r\n")
-            if not line.strip():
-                if row:
-                    sentences.append(row)
-                    row = []
-                continue
-            cols = line.split("\t")
-            row.append(cols[1] if len(cols) > 1 else "")
-    if row:
-        sentences.append(row)
-    return sentences
-
-
-def _eval_report(gold: list[list[str]], pred: list[list[str]]) -> metrics.EvalReport:
-    return metrics.EvalReport(
-        word_accuracy=metrics.word_accuracy(_flatten(gold), _flatten(pred)),
-        sentence_accuracy=metrics.sentence_accuracy(gold, pred),
-        token_total=sum(len(s) for s in gold),
-        sentence_total=len(gold),
-    )
-
-
-def _mcnemar_dict(result: metrics.McNemarResult, granularity: str) -> dict[str, object]:
-    return {
-        "granularity": granularity,
-        "b": result.b,
-        "c": result.c,
-        "statistic": result.statistic,
-        "p_value": result.p_value,
-        "alpha": result.alpha,
-        "significant": result.significant,
-    }
-
-
-def _flatten(sentences: list[list[str]]) -> list[str]:
-    return [item for sentence in sentences for item in sentence]
+def _paired_test(
+    gold: list[list[str]],
+    pred_a: list[list[str]],
+    pred_b: list[list[str]],
+    args: argparse.Namespace,
+) -> dict[str, object]:
+    """One McNemar entry of a report, at --granularity and --alpha."""
+    result = metrics.paired_mcnemar(gold, pred_a, pred_b, args.granularity, args.alpha)
+    return {"granularity": args.granularity, **asdict(result)}
 
 
 def _suffixed(path: str, scheme: str) -> str:
@@ -453,14 +368,18 @@ def _suffixed(path: str, scheme: str) -> str:
 
 def _open_out(path: str):
     if path == "-":
-        import contextlib
-
         return contextlib.nullcontext(sys.stdout)
     return open(path, "w", encoding="utf-8")
 
 
-def _emit_json(payload: object) -> None:
-    print(json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2))
+def _write(text: str, path: str | None = None) -> None:
+    """Write text to path, or to stdout without one."""
+    with _open_out(path or "-") as fp:
+        fp.write(text)
+
+
+def _write_json(payload: object, path: str | None = None) -> None:
+    _write(json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n", path)
 
 
 def _fmt_opt(value: object) -> str:

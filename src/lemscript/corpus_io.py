@@ -4,18 +4,21 @@ Input is CoNLL-U: tab-separated 10-column rows, "#" comment lines, blank
 lines between sentences, UTF-8. Multiword-range rows (ID contains "-")
 and empty nodes (ID contains ".") are skipped; a LEMMA of "_" is treated
 as absent. Labeled datasets serialize as 3-column TSV
-(form<TAB>gold_lemma<TAB>label) with a blank line after each sentence.
+(form<TAB>gold_lemma<TAB>label) and lemma predictions as 2-column TSV
+(form<TAB>lemma), each with a blank line after each sentence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import IO, Iterable
+from dataclasses import dataclass, replace
+from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 from . import schemes
 from .casing import CaseClass, char_class, shift_upper
 from .errors import FormatError, LemscriptError
 from .model import Corpus, Scheme, Sentence, SesLabel, Token
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,8 +88,36 @@ def parse_conllu(lines: Iterable[str], source_name: str = "") -> Corpus:
 
 
 def read_conllu(path: str, source_name: str | None = None) -> Corpus:
-    with open(path, encoding="utf-8") as fp:
-        return parse_conllu(fp, source_name if source_name is not None else path)
+    return read_file(path, parse_conllu, source_name if source_name is not None else path)
+
+
+def read_file(path: str, parse: Callable[..., T], *args: object) -> T:
+    """Run parse(lines, *args) over a UTF-8 file, naming the file in faults.
+
+    A FormatError from the parser gets the path; undecodable bytes become a
+    FormatError at the line that holds them, found by re-reading the file
+    in binary on that error path only.
+    """
+    try:
+        with open(path, encoding="utf-8") as fp:
+            return parse(fp, *args)
+    except FormatError as exc:
+        err = exc
+    except UnicodeDecodeError as exc:
+        err = FormatError(_first_undecodable_line(path), f"not UTF-8 ({exc.reason})")
+    err.path = path
+    raise err
+
+
+def _first_undecodable_line(path: str) -> int:
+    with open(path, "rb") as fp:
+        # bytes.splitlines breaks where text-mode reading does: \n, \r, \r\n
+        for lineno, raw in enumerate(fp.read().splitlines(), 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return 1
 
 
 def write_conllu(corpus: Corpus, fp: IO[str]) -> None:
@@ -117,12 +148,7 @@ def adjust_propn_lemmas(corpus: Corpus) -> Corpus:
                 and tok.lemma
                 and char_class(tok.lemma[0]) is CaseClass.LOWER
             ):
-                tok = Token(
-                    form=tok.form,
-                    lemma=shift_upper(tok.lemma[0]) + tok.lemma[1:],
-                    upos=tok.upos,
-                    index=tok.index,
-                )
+                tok = replace(tok, lemma=shift_upper(tok.lemma[0]) + tok.lemma[1:])
             toks.append(tok)
         out.append(Sentence(tuple(toks), sentence.comments))
     return Corpus(tuple(out), corpus.source_name)
@@ -179,32 +205,46 @@ def write_labeled(labeled: LabeledCorpus, fp: IO[str]) -> None:
 def parse_labeled(lines: Iterable[str], scheme: Scheme) -> LabeledCorpus:
     scheme = Scheme(scheme)
     sentences: list[tuple[LabeledToken, ...]] = []
-    row: list[LabeledToken] = []
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.rstrip("\r\n")
-        if not line.strip():
-            if row:
-                sentences.append(tuple(row))
-                row = []
-            continue
-        cols = line.split("\t")
-        if len(cols) != 3:
-            raise FormatError(lineno, f"expected 3 tab-separated columns, got {len(cols)}")
-        form, lemma, label_text = cols
-        if not label_text:
-            raise FormatError(lineno, "empty label column")
-        row.append(LabeledToken(form, lemma, SesLabel(scheme, label_text)))
-    if row:
+    for rows in _tsv_sentences(lines, 3):
+        row: list[LabeledToken] = []
+        for lineno, (form, lemma, label_text) in rows:
+            if not label_text:
+                raise FormatError(lineno, "empty label column")
+            row.append(LabeledToken(form, lemma, SesLabel(scheme, label_text)))
         sentences.append(tuple(row))
     return LabeledCorpus(scheme, tuple(sentences))
 
 
-def failures_to_dicts(failures: list[LabelFailure]) -> list[dict[str, object]]:
-    return [
-        {
-            "sentence_index": f.sentence_index,
-            "token_index": f.token_index,
-            "reason": f.reason,
-        }
-        for f in failures
-    ]
+def write_lemmas(
+    forms: Iterable[Iterable[str]], lemmas: Iterable[Iterable[str]], fp: IO[str]
+) -> None:
+    """Write form<TAB>lemma rows, a blank line after each sentence."""
+    for sentence_forms, sentence_lemmas in zip(forms, lemmas):
+        for form, lemma in zip(sentence_forms, sentence_lemmas):
+            fp.write(f"{form}\t{lemma}\n")
+        fp.write("\n")
+
+
+def parse_lemmas(lines: Iterable[str]) -> list[list[str]]:
+    """Read the lemma column of write_lemmas output, sentence by sentence."""
+    return [[cols[1] for _, cols in rows] for rows in _tsv_sentences(lines, 2)]
+
+
+def _tsv_sentences(lines: Iterable[str], columns: int) -> Iterator[list[tuple[int, list[str]]]]:
+    """Split blank-line-separated TSV into sentences of (line number, columns)."""
+    rows: list[tuple[int, list[str]]] = []
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.rstrip("\r\n")
+        if not line.strip():
+            if rows:
+                yield rows
+                rows = []
+            continue
+        cols = line.split("\t")
+        if len(cols) != columns:
+            raise FormatError(
+                lineno, f"expected {columns} tab-separated columns, got {len(cols)}"
+            )
+        rows.append((lineno, cols))
+    if rows:
+        yield rows

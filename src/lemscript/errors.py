@@ -41,11 +41,22 @@ class IndexOutOfRange(LabelDecodeError):
 
 
 class FormatError(LemscriptError):
-    """Malformed input file; carries the 1-based line number."""
+    """Malformed input file; carries the 1-based line number.
+
+    Readers that know the file set `path`, which then replaces "line" in
+    the message: "train.conllu:4: ..." instead of "line 4: ...".
+    """
+
+    path = ""
 
     def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+        super().__init__(line_number, message)
         self.line_number = line_number
+        self.message = message
+
+    def __str__(self) -> str:
+        where = f"{self.path}:" if self.path else "line "
+        return f"{where}{self.line_number}: {self.message}"
 
 
 class SchemeMismatch(LemscriptError):

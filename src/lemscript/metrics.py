@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .corpus_io import LabeledCorpus
 from .errors import EmptyEval, LengthMismatch, SchemeMismatch, StructureMismatch
-from .model import Scheme
+from .model import Corpus, Scheme
 
 
 @dataclass(frozen=True, slots=True)
@@ -24,6 +24,8 @@ class EvalReport:
     sentence_accuracy: float
     token_total: int
     sentence_total: int
+    inv_accuracy: float | None = None  # set when evaluate is given train forms
+    oov_accuracy: float | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,19 +75,35 @@ def word_accuracy(gold: Sequence[str], pred: Sequence[str]) -> float:
 def sentence_accuracy(
     gold: Sequence[Sequence[str]], pred: Sequence[Sequence[str]]
 ) -> float:
-    if len(gold) != len(pred):
-        raise StructureMismatch(f"{len(gold)} gold sentences vs {len(pred)} predicted")
-    if not gold:
+    hits = _sentence_hits(gold, pred)
+    if not hits:
         raise EmptyEval("sentence accuracy over zero sentences is undefined")
-    correct = 0
-    for idx, (gs, ps) in enumerate(zip(gold, pred)):
-        if len(gs) != len(ps):
-            raise StructureMismatch(
-                f"sentence {idx}: {len(gs)} gold tokens vs {len(ps)} predicted"
-            )
-        if all(g == p for g, p in zip(gs, ps)):
-            correct += 1
-    return correct / len(gold)
+    return sum(hits) / len(hits)
+
+
+def gold_lemmas(corpus: Corpus) -> list[list[str]]:
+    """Gold lemmas sentence by sentence; tokens without a lemma are left out."""
+    return [[t.lemma for t in s.tokens if t.lemma is not None] for s in corpus.sentences]
+
+
+def evaluate(
+    gold: Corpus, pred: Sequence[Sequence[str]], train_forms: set[str] | None = None
+) -> EvalReport:
+    """Score predictions for the lemmatized tokens of a gold corpus.
+
+    With train_forms, the word accuracy is also split over forms seen and
+    unseen in training (see inv_oov_accuracy).
+    """
+    lemmas = gold_lemmas(gold)
+    flat_gold = _flatten(lemmas)
+    flat_pred = _flatten(pred)
+    word = word_accuracy(flat_gold, flat_pred)
+    sentence = sentence_accuracy(lemmas, pred)
+    inv = oov = None
+    if train_forms is not None:
+        forms = [t.form for s in gold.sentences for t in s.tokens if t.lemma is not None]
+        inv, oov = inv_oov_accuracy(train_forms, forms, flat_gold, flat_pred)
+    return EvalReport(word, sentence, len(flat_gold), len(lemmas), inv, oov)
 
 
 def mcnemar(b: int, c: int, alpha: float = 0.05) -> McNemarResult:
@@ -119,6 +137,21 @@ def paired_outcomes(
     return b, c
 
 
+def paired_mcnemar(
+    gold: Sequence[Sequence[str]],
+    pred_a: Sequence[Sequence[str]],
+    pred_b: Sequence[Sequence[str]],
+    granularity: str = "word",
+    alpha: float = 0.05,
+) -> McNemarResult:
+    """McNemar test of two systems over tokens ("word") or whole sentences."""
+    if granularity == "word":
+        b, c = paired_outcomes(_flatten(gold), _flatten(pred_a), _flatten(pred_b))
+    else:
+        b, c = paired_sentence_outcomes(gold, pred_a, pred_b)
+    return mcnemar(b, c, alpha)
+
+
 def paired_sentence_outcomes(
     gold: Sequence[Sequence[str]],
     pred_a: Sequence[Sequence[str]],
@@ -129,16 +162,25 @@ def paired_sentence_outcomes(
         raise StructureMismatch(
             f"sentence counts differ: gold {len(gold)}, a {len(pred_a)}, b {len(pred_b)}"
         )
-    flags_a = []
-    flags_b = []
-    for idx, (gs, sa, sb) in enumerate(zip(gold, pred_a, pred_b)):
-        if len(gs) != len(sa) or len(gs) != len(sb):
-            raise StructureMismatch(f"sentence {idx}: token counts differ")
-        flags_a.append(all(g == p for g, p in zip(gs, sa)))
-        flags_b.append(all(g == p for g, p in zip(gs, sb)))
+    flags_a = _sentence_hits(gold, pred_a)
+    flags_b = _sentence_hits(gold, pred_b)
     b = sum(1 for fa, fb in zip(flags_a, flags_b) if fa and not fb)
     c = sum(1 for fa, fb in zip(flags_a, flags_b) if fb and not fa)
     return b, c
+
+
+def _sentence_hits(gold: Sequence[Sequence[str]], pred: Sequence[Sequence[str]]) -> list[bool]:
+    """Whether each predicted sentence is fully right; sentences must align."""
+    if len(gold) != len(pred):
+        raise StructureMismatch(f"{len(gold)} gold sentences vs {len(pred)} predicted")
+    hits = []
+    for idx, (gs, ps) in enumerate(zip(gold, pred)):
+        if len(gs) != len(ps):
+            raise StructureMismatch(
+                f"sentence {idx}: {len(gs)} gold tokens vs {len(ps)} predicted"
+            )
+        hits.append(all(g == p for g, p in zip(gs, ps)))
+    return hits
 
 
 def unique_labels(labeled: LabeledCorpus) -> LabelVocabulary:
@@ -218,3 +260,7 @@ def inv_oov_accuracy(
 def format_percent(rate: float) -> str:
     """Render a fraction as a percentage with two decimals, e.g. '7.85%'."""
     return f"{rate * 100:.2f}%"
+
+
+def _flatten(sentences: Sequence[Sequence[str]]) -> list[str]:
+    return [item for sentence in sentences for item in sentence]

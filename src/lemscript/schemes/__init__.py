@@ -6,27 +6,18 @@ from ..errors import SchemeMismatch
 from ..model import Scheme, SesLabel
 from . import ixapipes, morpheus, udpipe
 
-_ENCODERS = {
-    Scheme.UDPIPE: udpipe.encode,
-    Scheme.IXAPIPES: ixapipes.encode,
-    Scheme.MORPHEUS: morpheus.encode,
-}
-
-_DECODERS = {
-    Scheme.UDPIPE: udpipe.decode,
-    Scheme.IXAPIPES: ixapipes.decode,
-    Scheme.MORPHEUS: morpheus.decode,
-}
+# every scheme module offers encode(form, lemma), decode(form, label), parse_label(text)
+_MODULES = {Scheme.UDPIPE: udpipe, Scheme.IXAPIPES: ixapipes, Scheme.MORPHEUS: morpheus}
 
 
 def encode(scheme: Scheme, form: str, lemma: str) -> SesLabel:
     """Encode a (form, lemma) pair under the given scheme."""
-    return _ENCODERS[Scheme(scheme)](form, lemma)
+    return _MODULES[Scheme(scheme)].encode(form, lemma)
 
 
 def decode(form: str, label: SesLabel) -> str:
     """Apply a label to a wordform, dispatching on the label's scheme."""
-    decoder = _DECODERS.get(label.scheme)
-    if decoder is None:
+    module = _MODULES.get(label.scheme)
+    if module is None:
         raise SchemeMismatch(f"unknown scheme {label.scheme!r}")
-    return decoder(form, label)
+    return module.decode(form, label)

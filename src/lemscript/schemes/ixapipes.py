@@ -75,30 +75,25 @@ def decode(form: str, label: SesLabel) -> str:
     if label.scheme is not Scheme.IXAPIPES:
         raise SchemeMismatch(f"expected ixapipes label, got {label.scheme.value}")
     lower_first, tokens = parse_label(label.text)
-    if label.text == IDENTITY:
-        return form
     buffer = list(form)
     if lower_first and buffer:
         buffer[0] = shift_lower(buffer[0])
-    buffer.reverse()
-    for token in tokens:
-        i = token.index
-        if token.kind == "I":
-            if i > len(buffer):
-                raise IndexOutOfRange(f"insert at {i} beyond buffer of {len(buffer)}")
-            buffer.insert(i, token.chars)
+    for kind, i, chars in tokens:
+        n = len(buffer)  # i indexes the reversed buffer, so counts from the end
+        if kind == "I":
+            if i > n:
+                raise IndexOutOfRange(f"insert at {i} beyond buffer of {n}")
+            buffer.insert(n - i, chars)
             continue
-        if i >= len(buffer):
-            raise IndexOutOfRange(f"{token.kind} at {i} beyond buffer of {len(buffer)}")
-        if buffer[i] != token.chars[0]:
-            raise CharMismatch(
-                f"{token.kind}{i} expects {token.chars[0]!r}, wordform has {buffer[i]!r}"
-            )
-        if token.kind == "D":
-            del buffer[i]
+        if i >= n:
+            raise IndexOutOfRange(f"{kind} at {i} beyond buffer of {n}")
+        j = n - 1 - i
+        if buffer[j] != chars[0]:
+            raise CharMismatch(f"{kind}{i} expects {chars[0]!r}, wordform has {buffer[j]!r}")
+        if kind == "D":
+            del buffer[j]
         else:
-            buffer[i] = token.chars[1]
-    buffer.reverse()
+            buffer[j] = chars[1]
     return "".join(buffer)
 
 
@@ -108,7 +103,9 @@ def parse_label(text: str) -> tuple[bool, list[IxaToken]]:
     Digit operand characters make the grammar locally ambiguous (in
     "I15" the index may be 15 or 1); the parser resolves this by trying
     the longest index first and backtracking until the whole label
-    parses, which reproduces the encoder's serialization.
+    parses, which reproduces the encoder's serialization. The search
+    keeps its own stack and remembers the offsets whose rest cannot
+    parse, so the rest of a label is never parsed twice from one offset.
     """
     if not text:
         raise ParseError("empty ixapipes label")
@@ -116,59 +113,37 @@ def parse_label(text: str) -> tuple[bool, list[IxaToken]]:
         return False, []
     lower_first = text.startswith(LOWER_FLAG)
     body = text[1:] if lower_first else text
-    tokens = _parse_tokens_greedy(body)
-    if tokens is None:
-        tokens = _parse_tokens(body, 0)
-    if tokens is None:
-        raise ParseError(f"malformed ixapipes label {text!r}")
-    return lower_first, tokens
-
-
-def _parse_tokens_greedy(text: str) -> list[IxaToken] | None:
-    """Single-pass parse committing to the longest index at each token.
-
-    Succeeds on every label the encoder emits unless a digit operand
-    collides with the next token's opcode; such labels (and malformed
-    ones) return None and go through the backtracking parser, whose
-    first full success makes exactly these greedy choices.
-    """
-    tokens: list[IxaToken] = []
+    n = len(body)
+    stack: list[tuple[int, int]] = []  # (token start, end of its index digits)
+    dead: set[int] = set()             # offsets whose rest cannot parse
     pos = 0
-    n = len(text)
+    end = -1                           # next index end to try at pos; -1 on arrival
     while pos < n:
-        kind = text[pos]
-        if kind not in "RDI":
-            return None
+        kind = body[pos]
         arity = 2 if kind == "R" else 1
-        digits_start = pos + 1
-        digits_end = digits_start
-        while digits_end < n and "0" <= text[digits_end] <= "9":
-            digits_end += 1
-        end = min(digits_end, n - arity)  # leave room for trailing operands
-        if end < digits_start + 1:
-            return None
-        tokens.append(IxaToken(kind, int(text[digits_start:end]), text[end : end + arity]))
-        pos = end + arity
-    return tokens
-
-
-def _parse_tokens(text: str, pos: int) -> list[IxaToken] | None:
-    if pos == len(text):
-        return []
-    kind = text[pos]
-    if kind not in "RDI":
-        return None
-    arity = 2 if kind == "R" else 1
-    digits_end = pos + 1
-    while digits_end < len(text) and "0" <= text[digits_end] <= "9":
-        digits_end += 1
-    if digits_end == pos + 1:
-        return None
-    for end in range(digits_end, pos + 1, -1):
-        if end + arity > len(text):
-            continue
-        rest = _parse_tokens(text, end + arity)
-        if rest is not None:
-            token = IxaToken(kind, int(text[pos + 1 : end]), text[end : end + arity])
-            return [token] + rest
-    return None
+        if end < 0:  # longest index first, leaving room for the operands
+            end = pos + 1
+            if kind in "RDI":
+                while end < n and "0" <= body[end] <= "9":
+                    end += 1
+                if end > n - arity:
+                    end = n - arity
+        if end <= pos + 1:  # no index length left: back up to the previous token
+            dead.add(pos)
+            if not stack:
+                raise ParseError(f"malformed ixapipes label {text!r}")
+            pos, end = stack.pop()
+            end -= 1
+        elif end + arity in dead:
+            end -= 1
+        else:
+            stack.append((pos, end))
+            pos = end + arity
+            end = -1
+    try:
+        return lower_first, [
+            IxaToken(body[p], int(body[p + 1 : e]), body[e : e + (2 if body[p] == "R" else 1)])
+            for p, e in stack
+        ]
+    except ValueError:  # beyond the interpreter's int-string limit
+        raise ParseError("ixapipes index too long to convert") from None

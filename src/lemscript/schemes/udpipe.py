@@ -39,6 +39,7 @@ RULE_MARK = ";d"
 COPY = "copy"
 DEL = "del"
 INS = "ins"
+_PLAIN_OPS = {COPY_MARK: (COPY, ""), DELETE_MARK: (DEL, "")}
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,7 +66,9 @@ def encode(form: str, lemma: str) -> SesLabel:
     suffix = min_script_align(low_form[root.start_in_a + root.length :], tail)
     casing = _casing_segments(lemma)
     text = "{};d{}{}{}".format(
-        SCRIPT_SEP.join(_serialize_segment(seg) for seg in casing),
+        SCRIPT_SEP.join(
+            f"{UP_MARK if cls is CaseClass.UPPER else DOWN_MARK}{start}" for cls, start in casing
+        ),
         _serialize_ops(prefix, head),
         SCRIPT_SEP,
         _serialize_ops(suffix, tail),
@@ -101,20 +104,31 @@ def parse_label(text: str) -> UdpipeLabel:
             raise ParseError("absolute label without a lemma")
         return UdpipeLabel(absolute=text[1:])
 
+    n = len(text)
     segments: list[tuple[CaseClass, int]] = []
     i = 0
     while True:
-        if i >= len(text) or text[i] not in (UP_MARK, DOWN_MARK):
+        if i >= n or text[i] not in (UP_MARK, DOWN_MARK):
             raise ParseError(f"expected casing segment at offset {i}")
         direction = CaseClass.UPPER if text[i] == UP_MARK else CaseClass.LOWER
         i += 1
         start = i
-        while i < len(text) and "0" <= text[i] <= "9":
+        while i < n and "0" <= text[i] <= "9":
             i += 1
         if i == start:
             raise ParseError(f"casing segment missing position at offset {start}")
-        segments.append((direction, int(text[start:i])))
-        if i < len(text) and text[i] == SCRIPT_SEP:
+        try:
+            position = int(text[start:i])
+        except ValueError:  # beyond the interpreter's int-string limit
+            raise ParseError(f"casing position too long at offset {start}") from None
+        # the encoder opens at 0, then alternates direction at increasing positions
+        if segments:
+            if position <= segments[-1][1] or direction is segments[-1][0]:
+                raise ParseError(f"non-canonical casing segment at offset {start - 1}")
+        elif position:
+            raise ParseError("first casing segment must start at 0")
+        segments.append((direction, position))
+        if i < n and text[i] == SCRIPT_SEP:
             i += 1
             continue
         if text.startswith(RULE_MARK, i):
@@ -126,16 +140,14 @@ def parse_label(text: str) -> UdpipeLabel:
     suffix: list[tuple[str, str]] = []
     current = prefix
     seen_sep = False
-    while i < len(text):
+    while i < n:
         c = text[i]
-        if c == COPY_MARK:
-            current.append((COPY, ""))
-            i += 1
-        elif c == DELETE_MARK:
-            current.append((DEL, ""))
+        op = _PLAIN_OPS.get(c)
+        if op is not None:
+            current.append(op)
             i += 1
         elif c == INSERT_MARK:
-            if i + 1 >= len(text):
+            if i + 1 >= n:
                 raise ParseError("insert op missing its character")
             current.append((INS, text[i + 1]))
             i += 2
@@ -175,12 +187,6 @@ def _casing_segments(lemma: str) -> list[tuple[CaseClass, int]]:
     return segments or _ALL_LOWER
 
 
-def _serialize_segment(segment: tuple[CaseClass, int]) -> str:
-    direction, start = segment
-    mark = UP_MARK if direction is CaseClass.UPPER else DOWN_MARK
-    return f"{mark}{start}"
-
-
 def _serialize_ops(script: str, target: str) -> str:
     # a min-script alignment producing target; it never replaces
     parts = []
@@ -212,12 +218,10 @@ def _replay(ops: tuple[tuple[str, str], ...], source: str) -> str:
 
 
 def _apply_casing(text: str, segments: tuple[tuple[CaseClass, int], ...]) -> str:
-    if not segments:
-        return text
-    if len(segments) == 1 and segments[0][1] == 0:
+    if len(segments) == 1:
         direction = segments[0][0]
         return fold_upper(text) if direction is CaseClass.UPPER else fold_lower(text)
-    parts = [text[: segments[0][1]]]
+    parts = []
     for k, (direction, start) in enumerate(segments):
         end = segments[k + 1][1] if k + 1 < len(segments) else len(text)
         piece = text[start:end]

@@ -246,3 +246,54 @@ def test_unknown_flag_is_an_error(comparison_file, capsys):
     with pytest.raises(SystemExit) as err:
         main(["stats", str(comparison_file), "--bogus"])
     assert err.value.code == 2
+
+
+# --- input faults: exit 2 with a path:line message, never a traceback -------
+
+ROW = "1\tcats\tcat\tNOUN\t_\t_\t_\t_\t_\t_\n"
+
+
+def test_non_utf8_conllu_names_the_line(tmp_path, capsys):
+    corpus = tmp_path / "bad.conllu"
+    corpus.write_bytes(ROW.encode() + b"2\tb\xffd\tbird\tNOUN\t_\t_\t_\t_\t_\t_\n\n")
+    assert main(["stats", str(corpus)]) == 2
+    assert f"error: {corpus}:2: not UTF-8" in capsys.readouterr().err
+
+
+def test_non_utf8_tsv_names_the_line(tmp_path, capsys):
+    labeled = tmp_path / "bad.tsv"
+    labeled.write_bytes(b"cats\tcat\tD0s\n\nb\xe9rds\tbird\tD0s\n\n")
+    assert main(["decode", str(labeled), "-", "--scheme", "ixapipes"]) == 2
+    assert f"error: {labeled}:3: not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ('{\n  "scheme": "ixapipes",\n  "fallback": \n}\n', 4),              # not JSON
+        ('{"scheme": "ixapipes", "fallback": "D0s"}', 1),                    # no per_form
+        ('{"scheme": "lemming", "per_form": {}, "fallback": "D0s"}', 1),     # unknown scheme
+        ('{"scheme": "ixapipes", "per_form": {"cats": ""}, "fallback": "D0s"}', 1),  # empty label
+    ],
+)
+def test_malformed_model_names_the_line(tmp_path, capsys, text, line):
+    model = tmp_path / "model.json"
+    model.write_text(text, encoding="utf-8")
+    test = tmp_path / "test.conllu"
+    test.write_text(GENERALIZATION_TEST, encoding="utf-8")
+    assert main(["predict", str(model), str(test), "-"]) == 2
+    assert f"error: {model}:{line}: " in capsys.readouterr().err
+
+
+def test_format_error_names_the_path(tmp_path, capsys):
+    corpus = tmp_path / "short.conllu"
+    corpus.write_text(ROW + "2\tbroken\trow\n\n", encoding="utf-8")
+    assert main(["stats", str(corpus)]) == 2
+    assert f"error: {corpus}:2: expected 10 tab-separated columns" in capsys.readouterr().err
+
+
+def test_prediction_row_without_lemma_is_rejected(tmp_path, comparison_file, capsys):
+    pred = tmp_path / "pred.tsv"
+    pred.write_text("cats\tcat\n\nbirds\n\n", encoding="utf-8")
+    assert main(["eval", str(comparison_file), str(pred)]) == 2
+    assert f"error: {pred}:3: expected 2 tab-separated columns, got 1" in capsys.readouterr().err

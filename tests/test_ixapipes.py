@@ -99,6 +99,19 @@ def test_digit_operands_parse_by_backtracking():
     assert [t.chars for t in tokens] == ["2", "3"]
 
 
+def test_deep_backtracking_label_is_a_parse_error():
+    # one backtracking step per token; a recursive parser overflowed here
+    label = SesLabel(Scheme.IXAPIPES, "D0a" * 3000 + "X")
+    with pytest.raises(ParseError):
+        ixapipes.decode("aaaaaaaaaa", label)
+
+
+def test_oversized_index_is_a_parse_error():
+    # past the interpreter's 4,300-digit int conversion limit
+    with pytest.raises(ParseError):
+        ixapipes.decode("ab", SesLabel(Scheme.IXAPIPES, "D" + "1" * 5000 + "a"))
+
+
 def test_identity_label_only_alone():
     with pytest.raises(ParseError):
         ixapipes.parse_label("OD0s")

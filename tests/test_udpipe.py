@@ -98,6 +98,31 @@ def test_parse_errors(bad):
         udpipe.parse_label(bad)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "↑3¦↓1;d¦-",        # first segment does not start at 0
+        "↓0¦↑2¦↓2;d¦",      # starts do not strictly increase
+        "↓0¦↑3¦↓1;d¦",      # a start goes backwards
+        "↓0¦↓2;d¦",         # neighbours share a direction
+    ],
+)
+def test_non_canonical_casing_rejected(bad):
+    with pytest.raises(ParseError):
+        udpipe.decode("cats", SesLabel(Scheme.UDPIPE, bad))
+
+
+def test_canonical_label_may_still_delete_everything():
+    # the encoder can emit this label; it stays valid on a shorter form
+    assert udpipe.decode("48", SesLabel(Scheme.UDPIPE, "↓0;d¦--")) == ""
+
+
+def test_oversized_casing_position_is_a_parse_error():
+    # past the interpreter's 4,300-digit int conversion limit
+    with pytest.raises(ParseError):
+        udpipe.decode("ab", SesLabel(Scheme.UDPIPE, "↓" + "1" * 5000 + ";d¦"))
+
+
 def test_insert_payload_may_be_any_character():
     # a separator character is legal as an insert payload
     parsed = udpipe.parse_label("↓0;d+¦¦-")
