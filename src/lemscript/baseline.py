@@ -35,14 +35,20 @@ class PredictionStats:
 
 
 def train_baseline(labeled: LabeledCorpus) -> BaselineModel:
-    """Ties break toward the lexicographically smallest label text."""
-    by_form: dict[str, Counter[str]] = {}
+    """Ties break toward the lexicographically smallest label text.
+
+    Tokens are counted per distinct (form, label text), then folded into
+    per-form and overall label counts.
+    """
+    pairs = Counter(
+        (tok.form, tok.label.text) for sentence in labeled.sentences for tok in sentence
+    )
+    by_form: dict[str, dict[str, int]] = {}
     overall: Counter[str] = Counter()
-    for sentence in labeled.sentences:
-        for tok in sentence:
-            key = tok.form.lower()
-            by_form.setdefault(key, Counter())[tok.label.text] += 1
-            overall[tok.label.text] += 1
+    for (form, text), n in pairs.items():
+        counts = by_form.setdefault(form.lower(), {})
+        counts[text] = counts.get(text, 0) + n
+        overall[text] += n
     if not overall:
         raise EmptyCorpus("cannot train a baseline on zero labeled tokens")
     return BaselineModel(
@@ -64,16 +70,21 @@ def predict_corpus(
     """Predict lemmas sentence by sentence, aggregating failure counts.
 
     With lemmatized_only, tokens lacking a gold lemma are skipped so the
-    output aligns with evaluation over gold-lemmatized tokens.
+    output aligns with evaluation over gold-lemmatized tokens. Each
+    distinct form is predicted once per call; the stats count tokens.
     """
     stats = PredictionStats()
+    memo: dict[str, tuple[str, bool, bool]] = {}
     out: list[list[str]] = []
     for sentence in corpus.sentences:
         row: list[str] = []
         for tok in sentence.tokens:
             if lemmatized_only and tok.lemma is None:
                 continue
-            lemma, used_fallback, failed = _predict(model, tok.form)
+            hit = memo.get(tok.form)
+            if hit is None:
+                hit = memo[tok.form] = _predict(model, tok.form)
+            lemma, used_fallback, failed = hit
             stats.tokens += 1
             stats.fallback_uses += used_fallback
             stats.decode_failures += failed
@@ -111,7 +122,7 @@ def load_model(fp: IO[str]) -> BaselineModel:
     return BaselineModel(scheme, per_form, fallback)
 
 
-def _majority(counts: Counter[str]) -> str:
+def _majority(counts: dict[str, int]) -> str:
     return min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
 
 

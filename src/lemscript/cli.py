@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pred_a", help="first system's lemma TSV")
     p.add_argument("pred_b", help="second system's lemma TSV")
     p.add_argument("--granularity", choices=("word", "sentence"), default="word")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_alpha, default=0.05)
     _propn_flag(p)
     _format_flag(p)
     p.set_defaults(func=cmd_mcnemar)
@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="three-scheme baseline comparison report")
     p.add_argument("train", help="train CoNLL-U file")
     p.add_argument("test", help="test CoNLL-U file")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_alpha, default=0.05)
     p.add_argument("--granularity", choices=("word", "sentence"), default="word")
     p.add_argument("--out", metavar="PATH", help="write the JSON report here instead of stdout")
     p.add_argument("--format", choices=("json", "text"), default="json")
@@ -235,9 +235,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "sentences": corpus.sentence_count,
         }
     predictions: dict[str, list[list[str]]] = {}
+    both = Corpus(train_corpus.sentences + test_corpus.sentences)
+    split = len(train_corpus.sentences)
     for scheme in ALL_SCHEMES:
-        train_labeled, train_failures = corpus_io.label_corpus(train_corpus, scheme)
-        test_labeled, test_failures = corpus_io.label_corpus(test_corpus, scheme)
+        # one pass labels both corpora; its rows follow the input sentences
+        labeled, failures = corpus_io.label_corpus(both, scheme)
+        train_labeled = corpus_io.LabeledCorpus(scheme, labeled.sentences[:split])
+        test_labeled = corpus_io.LabeledCorpus(scheme, labeled.sentences[split:])
         model = baseline.train_baseline(train_labeled)
         pred, stats = baseline.predict_corpus(model, test_corpus, lemmatized_only=True)
         predictions[scheme.value] = pred
@@ -247,7 +251,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         oov = metrics.oov_report(train_labeled, test_labeled)
         report["schemes"][scheme.value] = {
             "unique_labels": metrics.unique_labels(train_labeled).unique_count,
-            "encode_failures": len(train_failures) + len(test_failures),
+            "encode_failures": len(failures),
             "baseline": {
                 "word_accuracy": scores.word_accuracy,
                 "sentence_accuracy": scores.sentence_accuracy,
@@ -339,6 +343,16 @@ def _propn_flag(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="uppercase the first character of lowercase PROPN lemmas",
     )
+
+
+def _alpha(text: str) -> float:
+    """An --alpha value: a number in (0, 1); NaN is not in it."""
+    try:
+        if 0 < (value := float(text)) < 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"alpha must be a number in (0, 1), got {text!r}")
 
 
 def _format_flag(p: argparse.ArgumentParser) -> None:

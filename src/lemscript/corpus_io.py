@@ -161,11 +161,14 @@ def label_corpus(
 
     Tokens whose label does not reproduce the gold lemma are recorded as
     failures instead of being included. Tokens without a lemma are
-    skipped. Results are memoized per (form, lemma) pair, which is where
-    the bulk of treebank-scale throughput comes from.
+    skipped. Each distinct (form, lemma) pair is encoded and verified
+    once; the finished LabeledToken, or the failure reason, is cached
+    and every repeat of the pair reuses it. The output has one row per
+    input sentence, so callers with several corpora (compare's train
+    and test) label their concatenation in one pass and split the rows.
     """
     scheme = Scheme(scheme)
-    cache: dict[tuple[str, str], tuple[SesLabel | None, str]] = {}
+    cache: dict[tuple[str, str], LabeledToken | str] = {}
     failures: list[LabelFailure] = []
     out: list[tuple[LabeledToken, ...]] = []
     for sent_idx, sentence in enumerate(corpus.sentences):
@@ -176,23 +179,25 @@ def label_corpus(
             key = (tok.form, tok.lemma)
             hit = cache.get(key)
             if hit is None:
-                try:
-                    label = schemes.encode(scheme, tok.form, tok.lemma)
-                    decoded = schemes.decode(tok.form, label)
-                    if decoded == tok.lemma:
-                        hit = (label, "")
-                    else:
-                        hit = (None, f"decoded to {decoded!r} instead of gold lemma")
-                except LemscriptError as exc:
-                    hit = (None, f"{type(exc).__name__}: {exc}")
-                cache[key] = hit
-            label, reason = hit
-            if label is None:
-                failures.append(LabelFailure(sent_idx, tok.index, reason))
+                hit = cache[key] = _label_pair(scheme, tok.form, tok.lemma)
+            if isinstance(hit, str):
+                failures.append(LabelFailure(sent_idx, tok.index, hit))
             else:
-                row.append(LabeledToken(tok.form, tok.lemma, label))
+                row.append(hit)
         out.append(tuple(row))
     return LabeledCorpus(scheme, tuple(out)), failures
+
+
+def _label_pair(scheme: Scheme, form: str, lemma: str) -> LabeledToken | str:
+    """The verified LabeledToken of one pair, or why it cannot be labeled."""
+    try:
+        label = schemes.encode(scheme, form, lemma)
+        decoded = schemes.decode(form, label)
+    except LemscriptError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if decoded != lemma:
+        return f"decoded to {decoded!r} instead of gold lemma"
+    return LabeledToken(form, lemma, label)
 
 
 def write_labeled(labeled: LabeledCorpus, fp: IO[str]) -> None:

@@ -110,6 +110,8 @@ def mcnemar(b: int, c: int, alpha: float = 0.05) -> McNemarResult:
     """Continuity-corrected McNemar test over the disagreement counts."""
     if b < 0 or c < 0:
         raise ValueError("disagreement counts must be non-negative")
+    if not 0 < alpha < 1:  # NaN fails this too
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     if b + c == 0:
         statistic, p_value = 0.0, 1.0
     else:

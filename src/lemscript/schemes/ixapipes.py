@@ -103,9 +103,12 @@ def parse_label(text: str) -> tuple[bool, list[IxaToken]]:
     Digit operand characters make the grammar locally ambiguous (in
     "I15" the index may be 15 or 1); the parser resolves this by trying
     the longest index first and backtracking until the whole label
-    parses, which reproduces the encoder's serialization. The search
-    keeps its own stack and remembers the offsets whose rest cannot
-    parse, so the rest of a label is never parsed twice from one offset.
+    parses, which reproduces the encoder's serialization. Only the
+    encoder's order parses: indices never increase, and only an insert
+    may be followed by a token at its own index. The search keeps its
+    own stack and remembers, per offset, the largest index bound under
+    which the rest cannot parse; a smaller bound cannot parse either, so
+    the rest of a label is never parsed twice from one offset and bound.
     """
     if not text:
         raise ParseError("empty ixapipes label")
@@ -114,10 +117,11 @@ def parse_label(text: str) -> tuple[bool, list[IxaToken]]:
     lower_first = text.startswith(LOWER_FLAG)
     body = text[1:] if lower_first else text
     n = len(body)
-    stack: list[tuple[int, int]] = []  # (token start, end of its index digits)
-    dead: set[int] = set()             # offsets whose rest cannot parse
+    stack: list[tuple[int, int, IxaToken]] = []  # (start, index end, token)
+    dead: dict[int, float] = {}  # offset -> largest index bound its rest fails under
     pos = 0
-    end = -1                           # next index end to try at pos; -1 on arrival
+    end = -1                     # next index end to try at pos; -1 on arrival
+    bound: float = float("inf")  # largest index the token at pos may have
     while pos < n:
         kind = body[pos]
         arity = 2 if kind == "R" else 1
@@ -129,21 +133,29 @@ def parse_label(text: str) -> tuple[bool, list[IxaToken]]:
                 if end > n - arity:
                     end = n - arity
         if end <= pos + 1:  # no index length left: back up to the previous token
-            dead.add(pos)
+            dead[pos] = bound
             if not stack:
                 raise ParseError(f"malformed ixapipes label {text!r}")
-            pos, end = stack.pop()
+            pos, end, _ = stack.pop()
             end -= 1
-        elif end + arity in dead:
+            bound = float("inf")
+            if stack:  # restore the bound the token before sets, as below
+                prev = stack[-1][2]
+                bound = prev.index if prev.kind == "I" else prev.index - 1
+            continue
+        try:
+            index = int(body[pos + 1 : end])
+        except ValueError:  # beyond the interpreter's int-string limit
+            raise ParseError("ixapipes index too long to convert") from None
+        if index > bound:
+            end -= 1
+            continue
+        after = index if kind == "I" else index - 1
+        if end + arity in dead and dead[end + arity] >= after:
             end -= 1
         else:
-            stack.append((pos, end))
+            stack.append((pos, end, IxaToken(kind, index, body[end : end + arity])))
             pos = end + arity
             end = -1
-    try:
-        return lower_first, [
-            IxaToken(body[p], int(body[p + 1 : e]), body[e : e + (2 if body[p] == "R" else 1)])
-            for p, e in stack
-        ]
-    except ValueError:  # beyond the interpreter's int-string limit
-        raise ParseError("ixapipes index too long to convert") from None
+            bound = after
+    return lower_first, [token for _, _, token in stack]

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import io
+from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import corpus_of
+from lemscript import schemes
 from lemscript.baseline import (
+    PredictionStats,
     load_model,
     predict_corpus,
     predict_lemma,
@@ -13,8 +18,8 @@ from lemscript.baseline import (
     train_baseline,
 )
 from lemscript.corpus_io import LabeledCorpus, LabeledToken, label_corpus
-from lemscript.errors import EmptyCorpus
-from lemscript.model import Scheme, SesLabel
+from lemscript.errors import EmptyCorpus, LabelDecodeError
+from lemscript.model import Corpus, Scheme, Sentence, SesLabel, Token
 
 
 def _train(pairs, scheme):
@@ -107,3 +112,98 @@ def test_model_json_roundtrip():
     again = load_model(buf)
     assert again == model
     assert buf.getvalue().startswith("{")
+
+
+# --- the per-distinct-key paths against naive per-token references ----------
+
+def _naive_predict(model, corpus, lemmatized_only):
+    """predict_corpus as a per-token loop over predict_lemma."""
+    out, stats = [], PredictionStats()
+    for sentence in corpus.sentences:
+        row = []
+        for tok in sentence.tokens:
+            if lemmatized_only and tok.lemma is None:
+                continue
+            lemma, used_fallback = predict_lemma(model, tok.form)
+            text = model.fallback if used_fallback else model.per_form[tok.form.lower()]
+            try:
+                schemes.decode(tok.form, SesLabel(model.scheme, text))
+            except LabelDecodeError:
+                stats.decode_failures += 1
+            stats.tokens += 1
+            stats.fallback_uses += used_fallback
+            row.append(lemma)
+        out.append(row)
+    return out, stats
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("lemmatized_only", [False, True])
+def test_memoized_predict_matches_a_per_token_loop(scheme, lemmatized_only):
+    model = _train([("cats", "cat"), ("did", "do"), ("walked", "walk"), ("jumped", "jump")], scheme)
+    # repeated seen forms, a seen form whose label may not fit its casing
+    # (CATS), unseen forms, one too short for every fallback label (a),
+    # and tokens without a gold lemma
+    forms = ["cats", "CATS", "a", "dogs", "did", "cats", "a", "dogs", "xyzzy", "CATS"]
+    tokens = [
+        Token(form, None if i % 4 == 3 else form, index=i % 5 + 1) for i, form in enumerate(forms)
+    ]
+    corpus = Corpus(tuple(Sentence(tuple(tokens[i : i + 5])) for i in range(0, 10, 5)))
+    got = predict_corpus(model, corpus, lemmatized_only)
+    want = _naive_predict(model, corpus, lemmatized_only)
+    assert got == want
+    stats = got[1]
+    assert stats.fallback_uses > 0 and stats.decode_failures > 0
+
+
+def _naive_train(labeled):
+    """train_baseline as a per-token count, one Counter per form."""
+    by_form, overall = {}, Counter()
+    for sentence in labeled.sentences:
+        for tok in sentence:
+            by_form.setdefault(tok.form.lower(), Counter())[tok.label.text] += 1
+            overall[tok.label.text] += 1
+
+    def majority(counts):
+        best = max(counts.values())
+        return min(text for text, n in counts.items() if n == best)
+
+    return {form: majority(c) for form, c in by_form.items()}, majority(overall)
+
+
+_LABELED_TOKENS = st.builds(
+    LabeledToken,
+    st.sampled_from(["cats", "Cats", "CATS", "dog", "Dog", "a"]),
+    st.sampled_from(["cat", "dog", "a"]),
+    st.builds(SesLabel, st.just(Scheme.UDPIPE), st.sampled_from(["A", "B", "C", "D0s"])),
+)
+
+
+@given(
+    st.lists(
+        st.lists(st.one_of(_LABELED_TOKENS, st.integers(0, 5)), max_size=8),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_train_baseline_matches_a_per_token_count(rows):
+    # an integer k repeats the k-th token seen so far, object and all, as
+    # label_corpus does for a repeated pair
+    seen, sentences = [], []
+    for row in rows:
+        sentence = []
+        for item in row:
+            if isinstance(item, int):
+                if not seen:
+                    continue
+                item = seen[item % len(seen)]
+            seen.append(item)
+            sentence.append(item)
+        sentences.append(tuple(sentence))
+    labeled = LabeledCorpus(Scheme.UDPIPE, tuple(sentences))
+    if not seen:
+        with pytest.raises(EmptyCorpus):
+            train_baseline(labeled)
+        return
+    model = train_baseline(labeled)
+    assert (model.per_form, model.fallback) == _naive_train(labeled)

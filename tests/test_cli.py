@@ -248,6 +248,16 @@ def test_unknown_flag_is_an_error(comparison_file, capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("alpha", ["5", "-1", "nan", "0", "1", "x"])
+@pytest.mark.parametrize("command", ["mcnemar", "compare"])
+def test_alpha_outside_the_unit_interval_exits_2(comparison_file, capsys, command, alpha):
+    files = [str(comparison_file)] * (3 if command == "mcnemar" else 2)
+    with pytest.raises(SystemExit) as err:
+        main([command, *files, "--alpha", alpha])
+    assert err.value.code == 2
+    assert "alpha must be a number in (0, 1)" in capsys.readouterr().err
+
+
 # --- input faults: exit 2 with a path:line message, never a traceback -------
 
 ROW = "1\tcats\tcat\tNOUN\t_\t_\t_\t_\t_\t_\n"

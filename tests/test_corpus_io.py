@@ -4,8 +4,9 @@ import io
 
 import pytest
 
-from conftest import COMPARISON_CONLLU, COMPARISON_LABELS, corpus_of
+from conftest import COMPARISON_CONLLU, COMPARISON_LABELS, COMPARISON_PAIRS, corpus_of
 from lemscript.corpus_io import (
+    LabeledCorpus,
     adjust_propn_lemmas,
     label_corpus,
     parse_conllu,
@@ -15,6 +16,7 @@ from lemscript.corpus_io import (
 )
 from lemscript.errors import FormatError
 from lemscript.model import Corpus, Scheme, Sentence, Token
+from synth import make_stems, synthetic_corpus
 
 MINIMAL = """\
 # sent_id = 1
@@ -102,6 +104,55 @@ def test_label_corpus_skips_missing_lemmas():
     labeled, failures = label_corpus(corpus, Scheme.UDPIPE)
     assert failures == []
     assert labeled.token_count == 1
+
+
+def test_label_corpus_shares_one_token_per_pair():
+    labeled, _ = label_corpus(corpus_of([("cats", "cat"), ("dogs", "dog")] * 3, 2), Scheme.UDPIPE)
+    first, *rest = labeled.sentences
+    assert all(row[0] is first[0] and row[1] is first[1] for row in rest)
+
+
+def _two_calls(train, test, scheme):
+    train_labeled, train_failures = label_corpus(train, scheme)
+    test_labeled, test_failures = label_corpus(test, scheme)
+    return train_labeled, test_labeled, len(train_failures) + len(test_failures)
+
+
+def _one_pass(train, test, scheme):
+    # what compare does: label the concatenation, split at the train rows
+    labeled, failures = label_corpus(Corpus(train.sentences + test.sentences), scheme)
+    split = len(train.sentences)
+    return (
+        LabeledCorpus(scheme, labeled.sentences[:split]),
+        LabeledCorpus(scheme, labeled.sentences[split:]),
+        len(failures),
+    )
+
+
+# pairs every scheme fails on, one repeated, plus a token without a lemma
+FAILING = [("cats", ""), ("", "x"), ("cats", "")]
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_one_pass_labeling_matches_two_calls_on_comparison_pairs(scheme, comparison_corpus):
+    test = Corpus(
+        corpus_of(COMPARISON_PAIRS[::-1] + FAILING, 3).sentences
+        + (Sentence((Token("cats", None, "", 1),)),)
+    )
+    for train, held_out in ((comparison_corpus, test), (test, comparison_corpus)):
+        expected = _two_calls(train, held_out, scheme)
+        assert expected[2] == 3
+        assert _one_pass(train, held_out, scheme) == expected
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_one_pass_labeling_matches_two_calls_on_a_synthetic_pair(scheme):
+    stems = make_stems(3, 300, 3, 9)
+    train = synthetic_corpus(600, seed=5, stems=stems)
+    test = synthetic_corpus(150, seed=6, stems=stems[::2] + make_stems(4, 100, 3, 9))
+    expected = _two_calls(train, test, scheme)
+    assert _one_pass(train, test, scheme) == expected
+    assert expected[0].token_count == train.token_count
 
 
 def test_label_corpus_empty():

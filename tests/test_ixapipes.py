@@ -106,6 +106,38 @@ def test_deep_backtracking_label_is_a_parse_error():
         ixapipes.decode("aaaaaaaaaa", label)
 
 
+@pytest.mark.parametrize("label", ["I0a" * 3000 + "X", "I11" * 3000 + "X", "I1I" * 3000 + "X"])
+def test_deep_insert_runs_are_parse_errors(label):
+    # equal indices are legal after an insert, so these parse up to the X
+    # and then back up through every token before failing
+    with pytest.raises(ParseError):
+        ixapipes.parse_label(label)
+
+
+def test_indices_running_backwards_are_rejected():
+    # the encoder writes D1bD0c for abc -> a; the reversed order used to
+    # decode to the same lemma
+    assert ixapipes.decode("abc", SesLabel(Scheme.IXAPIPES, "D1bD0c")) == "a"
+    with pytest.raises(ParseError):
+        ixapipes.decode("abc", SesLabel(Scheme.IXAPIPES, "D0cD0b"))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["D0sD1t", "I0xI1y", "R0abD2c", "D1aD1b", "R1abR1cd", "R1abI1c", "D0aI0x", "1D2aD3b"],
+)
+def test_out_of_order_tokens_are_parse_errors(bad):
+    # indices never increase, and only an insert precedes a token at its own index
+    with pytest.raises(ParseError):
+        ixapipes.parse_label(bad)
+
+
+@pytest.mark.parametrize("good", ["I1xI1y", "I0xD0a", "I2xR2ab", "R3abI2xI2yD0c", "D12D03"])
+def test_encoder_order_parses(good):
+    _, tokens = ixapipes.parse_label(good)
+    assert "".join(f"{t.kind}{t.index}{t.chars}" for t in tokens) == good
+
+
 def test_oversized_index_is_a_parse_error():
     # past the interpreter's 4,300-digit int conversion limit
     with pytest.raises(ParseError):

@@ -117,6 +117,12 @@ def test_mcnemar_rejects_negative_counts():
         mcnemar(-1, 3)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0, -1.0, math.nan, math.inf])
+def test_mcnemar_rejects_alpha_outside_the_unit_interval(alpha):
+    with pytest.raises(ValueError):
+        mcnemar(10, 25, alpha=alpha)
+
+
 # --- paired outcomes --------------------------------------------------------
 
 def test_paired_outcomes_identical_predictions():
