@@ -60,7 +60,7 @@ def train_baseline(labeled: LabeledCorpus) -> BaselineModel:
 
 def predict_lemma(model: BaselineModel, form: str) -> tuple[str, bool]:
     """Predict one lemma; returns (lemma, used_fallback)."""
-    lemma, used_fallback, _ = _predict(model, form)
+    lemma, used_fallback, _ = _predict(model, form, {})
     return lemma, used_fallback
 
 
@@ -71,9 +71,11 @@ def predict_corpus(
 
     With lemmatized_only, tokens lacking a gold lemma are skipped so the
     output aligns with evaluation over gold-lemmatized tokens. Each
-    distinct form is predicted once per call; the stats count tokens.
+    distinct form is predicted, and each distinct label built, once per
+    call; the stats count tokens.
     """
     stats = PredictionStats()
+    labels: dict[str, SesLabel] = {}
     memo: dict[str, tuple[str, bool, bool]] = {}
     out: list[list[str]] = []
     for sentence in corpus.sentences:
@@ -83,7 +85,7 @@ def predict_corpus(
                 continue
             hit = memo.get(tok.form)
             if hit is None:
-                hit = memo[tok.form] = _predict(model, tok.form)
+                hit = memo[tok.form] = _predict(model, tok.form, labels)
             lemma, used_fallback, failed = hit
             stats.tokens += 1
             stats.fallback_uses += used_fallback
@@ -123,15 +125,24 @@ def load_model(fp: IO[str]) -> BaselineModel:
 
 
 def _majority(counts: dict[str, int]) -> str:
-    return min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+    if len(counts) == 1:  # most forms carry one label
+        return next(iter(counts))
+    top = max(counts.values())
+    return min(text for text, n in counts.items() if n == top)
 
 
-def _predict(model: BaselineModel, form: str) -> tuple[str, bool, bool]:
+def _predict(
+    model: BaselineModel, form: str, labels: dict[str, SesLabel]
+) -> tuple[str, bool, bool]:
+    """Predict one lemma; labels maps each label text to its SesLabel and grows."""
     text = model.per_form.get(form.lower())
     used_fallback = text is None
     if used_fallback:
         text = model.fallback
+    label = labels.get(text)
+    if label is None:
+        label = labels[text] = SesLabel(model.scheme, text)
     try:
-        return schemes.decode(form, SesLabel(model.scheme, text)), used_fallback, False
+        return schemes.decode(form, label), used_fallback, False
     except LabelDecodeError:
         return form, used_fallback, True

@@ -48,6 +48,9 @@ class LabelFailure:
 
 
 def parse_conllu(lines: Iterable[str], source_name: str = "") -> Corpus:
+    """Read CoNLL-U rows; every repeat of a FORM, LEMMA or UPOS value
+    shares the string object of its first occurrence."""
+    share = {}.setdefault
     sentences: list[Sentence] = []
     tokens: list[Token] = []
     comments: list[str] = []
@@ -77,12 +80,12 @@ def parse_conllu(lines: Iterable[str], source_name: str = "") -> Corpus:
             index = int(token_id)
         except ValueError:
             raise FormatError(lineno, f"non-numeric token id {token_id!r}") from None
-        form = cols[1]
+        form, lemma, upos = cols[1], cols[2], cols[3]
         if not form:
             raise FormatError(lineno, "empty FORM column")
-        lemma = cols[2] if cols[2] != "_" else None
-        upos = cols[3] if cols[3] != "_" else ""
-        tokens.append(Token(form=form, lemma=lemma, upos=upos, index=index))
+        lemma = None if lemma == "_" else share(lemma, lemma)
+        upos = "" if upos == "_" else share(upos, upos)
+        tokens.append(Token(share(form, form), lemma, upos, index))
     flush()
     return Corpus(tuple(sentences), source_name)
 

@@ -13,10 +13,14 @@ multi-character insertion at one gap repeats its index, serialized in
 reversed character order so sequential application lands them correctly.
 "O" means the word is already its lemma; a leading "1" means the first
 character of the surface word is lowercased before the edits run.
+
+decode keeps the parses of the 128 most recently used label texts, so a
+repeated label only pays for its apply step.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from ..alignment import DELETE, INSERT, REPLACE, levenshtein_align
@@ -74,7 +78,7 @@ def encode(form: str, lemma: str) -> SesLabel:
 def decode(form: str, label: SesLabel) -> str:
     if label.scheme is not Scheme.IXAPIPES:
         raise SchemeMismatch(f"expected ixapipes label, got {label.scheme.value}")
-    lower_first, tokens = parse_label(label.text)
+    lower_first, tokens = _plan(label.text)
     buffer = list(form)
     if lower_first and buffer:
         buffer[0] = shift_lower(buffer[0])
@@ -104,20 +108,29 @@ def parse_label(text: str) -> tuple[bool, list[IxaToken]]:
     "I15" the index may be 15 or 1); the parser resolves this by trying
     the longest index first and backtracking until the whole label
     parses, which reproduces the encoder's serialization. Only the
-    encoder's order parses: indices never increase, and only an insert
-    may be followed by a token at its own index. The search keeps its
-    own stack and remembers, per offset, the largest index bound under
-    which the rest cannot parse; a smaller bound cannot parse either, so
-    the rest of a label is never parsed twice from one offset and bound.
+    encoder's order parses: indices never increase, only an insert may
+    be followed by a token at its own index, and no index has a leading
+    zero. The search keeps its own stack and remembers, per offset, the
+    largest index bound under which the rest cannot parse; a smaller
+    bound cannot parse either, so the rest of a label is never parsed
+    twice from one offset and bound.
     """
+    lower_first, tokens = _plan.__wrapped__(text)
+    return lower_first, [IxaToken._make(token) for token in tokens]
+
+
+@lru_cache(maxsize=128)
+def _plan(text: str) -> tuple[bool, tuple[tuple[str, int, str], ...]]:
+    """parse_label's search, with each token a plain (kind, index, chars)."""
     if not text:
         raise ParseError("empty ixapipes label")
     if text == IDENTITY:
-        return False, []
+        return False, ()
     lower_first = text.startswith(LOWER_FLAG)
     body = text[1:] if lower_first else text
     n = len(body)
-    stack: list[tuple[int, int, IxaToken]] = []  # (start, index end, token)
+    tokens: list[tuple[str, int, str]] = []
+    spans: list[tuple[int, int]] = []  # (start, index end) of each token
     dead: dict[int, float] = {}  # offset -> largest index bound its rest fails under
     pos = 0
     end = -1                     # next index end to try at pos; -1 on arrival
@@ -132,16 +145,19 @@ def parse_label(text: str) -> tuple[bool, list[IxaToken]]:
                     end += 1
                 if end > n - arity:
                     end = n - arity
+                if end > pos + 2 and body[pos + 1] == "0":  # only "0" itself
+                    end = pos + 2
         if end <= pos + 1:  # no index length left: back up to the previous token
             dead[pos] = bound
-            if not stack:
+            if not tokens:
                 raise ParseError(f"malformed ixapipes label {text!r}")
-            pos, end, _ = stack.pop()
+            tokens.pop()
+            pos, end = spans.pop()
             end -= 1
             bound = float("inf")
-            if stack:  # restore the bound the token before sets, as below
-                prev = stack[-1][2]
-                bound = prev.index if prev.kind == "I" else prev.index - 1
+            if tokens:  # restore the bound the token before sets, as below
+                prev_kind, prev_index, _ = tokens[-1]
+                bound = prev_index if prev_kind == "I" else prev_index - 1
             continue
         try:
             index = int(body[pos + 1 : end])
@@ -154,8 +170,9 @@ def parse_label(text: str) -> tuple[bool, list[IxaToken]]:
         if end + arity in dead and dead[end + arity] >= after:
             end -= 1
         else:
-            stack.append((pos, end, IxaToken(kind, index, body[end : end + arity])))
+            tokens.append((kind, index, body[end : end + arity]))
+            spans.append((pos, end))
             pos = end + arity
             end = -1
             bound = after
-    return lower_first, [token for _, _, token in stack]
+    return lower_first, tuple(tokens)

@@ -12,9 +12,14 @@ same/replace token absorbs the inserted characters into a replace
 payload, a preceding delete becomes a plain replace, and a run at the
 very start is prepended into the first token. A replace that merely
 lowercases its character is re-labelled "l".
+
+decode keeps the parses of the 128 most recently used label texts, so a
+repeated label only pays for its apply step.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from ..alignment import DELETE, INSERT, MATCH, REPLACE, levenshtein_align
 from ..casing import CaseClass, char_class, shift_lower
@@ -62,7 +67,7 @@ def encode(form: str, lemma: str) -> SesLabel:
 def decode(form: str, label: SesLabel) -> str:
     if label.scheme is not Scheme.MORPHEUS:
         raise SchemeMismatch(f"expected morpheus label, got {label.scheme.value}")
-    tokens = parse_label(label.text)
+    tokens = _plan(label.text)
     if len(tokens) != len(form):
         raise ArityMismatch(
             f"label has {len(tokens)} tokens for a {len(form)}-character wordform"
@@ -81,17 +86,25 @@ def decode(form: str, label: SesLabel) -> str:
 
 def parse_label(text: str) -> list[tuple[str, str]]:
     """Split a label into (kind, payload) pairs; payload for replaces only."""
+    return list(_plan.__wrapped__(text))
+
+
+_PLAIN_TOKENS = {kind: (kind, "") for kind in (SAME, DEL, LOWER)}
+
+
+@lru_cache(maxsize=128)
+def _plan(text: str) -> tuple[tuple[str, str], ...]:
     if not text:
         raise ParseError("empty morpheus label")
     tokens: list[tuple[str, str]] = []
     for raw in text.split(TOKEN_SEP):
-        if raw in (SAME, DEL, LOWER):
-            tokens.append((raw, ""))
-        elif raw.startswith(REPLACE_MARK) and len(raw) > len(REPLACE_MARK):
-            tokens.append(("r", raw[len(REPLACE_MARK) :]))
-        else:
-            raise ParseError(f"invalid morpheus token {raw!r}")
-    return tokens
+        token = _PLAIN_TOKENS.get(raw)
+        if token is None:
+            if not raw.startswith(REPLACE_MARK) or len(raw) <= len(REPLACE_MARK):
+                raise ParseError(f"invalid morpheus token {raw!r}")
+            token = ("r", raw[len(REPLACE_MARK) :])
+        tokens.append(token)
+    return tuple(tokens)
 
 
 def _token(op: str, form_char: str, payload: str) -> str:

@@ -15,11 +15,15 @@ flanking prefix/suffix are rewritten by copy/delete/insert ops chosen to
 minimize the serialized script length (insert costs 2 characters, copy
 and delete cost 1). Casing segments index positions in the lemma; each
 segment re-cases characters from its start up to the next segment.
+
+decode keeps the parses of the 128 most recently used label texts, so a
+repeated label only pays for its apply step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..alignment import DELETE, MATCH, longest_common_substring, min_script_align
 from ..casing import CaseClass, char_class, fold_lower, fold_upper
@@ -40,6 +44,8 @@ COPY = "copy"
 DEL = "del"
 INS = "ins"
 _PLAIN_OPS = {COPY_MARK: (COPY, ""), DELETE_MARK: (DEL, "")}
+_DIRECTIONS = {UP_MARK: CaseClass.UPPER, DOWN_MARK: CaseClass.LOWER}
+_LOWER_ONLY = ((CaseClass.LOWER, 0),)
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,93 +85,85 @@ def encode(form: str, lemma: str) -> SesLabel:
 def decode(form: str, label: SesLabel) -> str:
     if label.scheme is not Scheme.UDPIPE:
         raise SchemeMismatch(f"expected udpipe label, got {label.scheme.value}")
-    parsed = parse_label(label.text)
-    if parsed.absolute is not None:
-        return parsed.absolute
-    consume_front = sum(1 for kind, _ in parsed.prefix_ops if kind != INS)
-    consume_back = sum(1 for kind, _ in parsed.suffix_ops if kind != INS)
-    if consume_front + consume_back > len(form):
+    absolute, segments, prefix_ops, suffix_ops, front, back = _plan(label.text)
+    if absolute is not None:
+        return absolute
+    if front + back > len(form):
         raise LengthMismatch(
-            f"label consumes {consume_front + consume_back} characters, "
-            f"wordform has {len(form)}"
+            f"label consumes {front + back} characters, wordform has {len(form)}"
         )
     lowered = fold_lower(form)
-    root = lowered[consume_front : len(lowered) - consume_back]
-    head = _replay(parsed.prefix_ops, lowered[:consume_front])
-    tail = _replay(parsed.suffix_ops, lowered[len(lowered) - consume_back :])
-    return _apply_casing(head + root + tail, parsed.segments)
+    back_start = len(lowered) - back
+    head = _replay(prefix_ops, lowered[:front])
+    tail = _replay(suffix_ops, lowered[back_start:])
+    return _apply_casing(head + lowered[front:back_start] + tail, segments)
 
 
 def parse_label(text: str) -> UdpipeLabel:
+    absolute, segments, prefix_ops, suffix_ops, _, _ = _plan.__wrapped__(text)
+    return UdpipeLabel(absolute, segments, _parsed_ops(prefix_ops), _parsed_ops(suffix_ops))
+
+
+@lru_cache(maxsize=128)
+def _plan(text: str) -> tuple:
+    """Parse a label into (absolute, segments, prefix ops, suffix ops,
+    characters the prefix consumes, characters the suffix consumes).
+
+    The ops stay in their serialized form, which _replay reads.
+    """
     if not text:
         raise ParseError("empty udpipe label")
     if text[0] == ABSOLUTE_MARK:
         if len(text) == 1:
             raise ParseError("absolute label without a lemma")
-        return UdpipeLabel(absolute=text[1:])
+        return text[1:], (), "", "", 0, 0
+    # casing characters never include ";", so the first RULE_MARK ends it
+    casing, found, script = text.partition(RULE_MARK)
+    segments = _LOWER_ONLY if casing == DOWN_MARK + "0" else _parse_casing(casing)
+    if not found:
+        raise ParseError(f"casing not closed by '{RULE_MARK}'")
 
-    n = len(text)
+    split = -1  # offset of the prefix/suffix separator in script
+    front = consumed = 0
+    chars = enumerate(script)
+    for k, c in chars:
+        if c == COPY_MARK or c == DELETE_MARK:
+            consumed += 1
+        elif c == INSERT_MARK:
+            if next(chars, None) is None:
+                raise ParseError("insert op missing its character")
+        elif c != SCRIPT_SEP:
+            raise ParseError(f"unexpected character {c!r} in edit script")
+        elif split < 0:
+            split, front, consumed = k, consumed, 0
+        else:
+            raise ParseError("more than one prefix/suffix separator")
+    if split < 0:
+        raise ParseError("missing prefix/suffix separator")
+    return None, segments, script[:split], script[split + 1 :], front, consumed
+
+
+def _parse_casing(casing: str) -> tuple[tuple[CaseClass, int], ...]:
     segments: list[tuple[CaseClass, int]] = []
-    i = 0
-    while True:
-        if i >= n or text[i] not in (UP_MARK, DOWN_MARK):
-            raise ParseError(f"expected casing segment at offset {i}")
-        direction = CaseClass.UPPER if text[i] == UP_MARK else CaseClass.LOWER
-        i += 1
-        start = i
-        while i < n and "0" <= text[i] <= "9":
-            i += 1
-        if i == start:
-            raise ParseError(f"casing segment missing position at offset {start}")
+    for seg in casing.split(SCRIPT_SEP):
+        direction = _DIRECTIONS.get(seg[:1])
+        if direction is None:
+            raise ParseError(f"expected casing segment, got {seg!r}")
+        digits = seg[1:]
+        if not (digits.isdigit() and digits.isascii()):
+            raise ParseError(f"casing segment {seg!r} needs a decimal position")
         try:
-            position = int(text[start:i])
+            position = int(digits)
         except ValueError:  # beyond the interpreter's int-string limit
-            raise ParseError(f"casing position too long at offset {start}") from None
+            raise ParseError("casing position too long") from None
         # the encoder opens at 0, then alternates direction at increasing positions
         if segments:
             if position <= segments[-1][1] or direction is segments[-1][0]:
-                raise ParseError(f"non-canonical casing segment at offset {start - 1}")
+                raise ParseError(f"non-canonical casing segment {seg!r}")
         elif position:
             raise ParseError("first casing segment must start at 0")
         segments.append((direction, position))
-        if i < n and text[i] == SCRIPT_SEP:
-            i += 1
-            continue
-        if text.startswith(RULE_MARK, i):
-            i += len(RULE_MARK)
-            break
-        raise ParseError(f"expected '{SCRIPT_SEP}' or '{RULE_MARK}' at offset {i}")
-
-    prefix: list[tuple[str, str]] = []
-    suffix: list[tuple[str, str]] = []
-    current = prefix
-    seen_sep = False
-    while i < n:
-        c = text[i]
-        op = _PLAIN_OPS.get(c)
-        if op is not None:
-            current.append(op)
-            i += 1
-        elif c == INSERT_MARK:
-            if i + 1 >= n:
-                raise ParseError("insert op missing its character")
-            current.append((INS, text[i + 1]))
-            i += 2
-        elif c == SCRIPT_SEP:
-            if seen_sep:
-                raise ParseError("more than one prefix/suffix separator")
-            seen_sep = True
-            current = suffix
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {c!r} in edit script")
-    if not seen_sep:
-        raise ParseError("missing prefix/suffix separator")
-    return UdpipeLabel(
-        segments=tuple(segments),
-        prefix_ops=tuple(prefix),
-        suffix_ops=tuple(suffix),
-    )
+    return tuple(segments)
 
 
 _ALL_LOWER = [(CaseClass.LOWER, 0)]
@@ -203,18 +201,24 @@ def _serialize_ops(script: str, target: str) -> str:
     return "".join(parts)
 
 
-def _replay(ops: tuple[tuple[str, str], ...], source: str) -> str:
+def _replay(ops: str, source: str) -> str:
     out: list[str] = []
     pos = 0
-    for kind, payload in ops:
-        if kind == COPY:
+    chars = iter(ops)
+    for c in chars:
+        if c == COPY_MARK:
             out.append(source[pos])
             pos += 1
-        elif kind == DEL:
+        elif c == DELETE_MARK:
             pos += 1
-        else:
-            out.append(payload)
+        else:  # an insert, followed by its character
+            out.append(next(chars))
     return "".join(out)
+
+
+def _parsed_ops(ops: str) -> tuple[tuple[str, str], ...]:
+    chars = iter(ops)  # an insert takes the next character as its payload
+    return tuple((INS, next(chars)) if c == INSERT_MARK else _PLAIN_OPS[c] for c in chars)
 
 
 def _apply_casing(text: str, segments: tuple[tuple[CaseClass, int], ...]) -> str:

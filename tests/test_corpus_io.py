@@ -53,6 +53,27 @@ def test_underscore_lemma_is_absent():
     assert corpus.sentences[0].tokens[0].lemma is None
 
 
+def test_repeated_column_values_share_one_string():
+    text = (
+        "1\tcats\tcat\tNOUN\t_\t_\t_\t_\t_\t_\n"
+        "2\t__\t_\t_\t_\t_\t_\t_\t_\t_\n"
+        "\n"
+        "1\tcats\tcat\tNOUN\t_\t_\t_\t_\t_\t_\n"
+        "2\tcat\tcats\tNOUN\t_\t_\t_\t_\t_\t_\n"
+        "3\t_\t_\t_\t_\t_\t_\t_\t_\t_\n"
+    )
+    first, second = parse_conllu(text.splitlines()).sentences
+    cats, blank = first.tokens
+    again, swapped, underscore = second.tokens
+    assert again == cats and again is not cats
+    assert again.form is cats.form and again.lemma is cats.lemma and again.upos is cats.upos
+    # one string per distinct value, whichever column it came from
+    assert swapped.form is cats.lemma and swapped.lemma is cats.form
+    # LEMMA "_" is absent and UPOS "_" is empty; FORM "_" stays a form
+    assert (blank.form, blank.lemma, blank.upos) == ("__", None, "")
+    assert (underscore.form, underscore.lemma, underscore.upos) == ("_", None, "")
+
+
 def test_short_row_reports_line_number():
     text = MINIMAL + "1\tbroken\trow\n"
     with pytest.raises(FormatError) as err:

@@ -1,0 +1,156 @@
+"""Decoders keep parsed labels in a bounded cache; caching changes no outcome.
+
+The oracle decodes from parse_label's output with its own apply step, so
+it never touches a cache. The label pool holds more distinct texts per
+scheme than the cache keeps, so entries are evicted and parsed again.
+"""
+
+from __future__ import annotations
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lemscript.casing import CaseClass, fold_lower, fold_upper, shift_lower
+from lemscript.errors import (
+    ArityMismatch,
+    CharMismatch,
+    IndexOutOfRange,
+    LabelDecodeError,
+    LengthMismatch,
+    ParseError,
+)
+from lemscript.model import Scheme, SesLabel
+from lemscript.schemes import decode, ixapipes, morpheus, udpipe
+
+CACHE_SIZE = 128
+MODULES = {Scheme.UDPIPE: udpipe, Scheme.IXAPIPES: ixapipes, Scheme.MORPHEUS: morpheus}
+
+
+def _replay(ops, source):
+    out, pos = [], 0
+    for kind, payload in ops:
+        if kind == "ins":
+            out.append(payload)
+        else:
+            if kind == "copy":
+                out.append(source[pos])
+            pos += 1
+    return "".join(out)
+
+
+def reference_udpipe(form, text):
+    parsed = udpipe.parse_label(text)
+    if parsed.absolute is not None:
+        return parsed.absolute
+    front = sum(kind != "ins" for kind, _ in parsed.prefix_ops)
+    back = sum(kind != "ins" for kind, _ in parsed.suffix_ops)
+    if front + back > len(form):
+        raise LengthMismatch("label consumes more than the wordform")
+    lowered = fold_lower(form)
+    word = (
+        _replay(parsed.prefix_ops, lowered[:front])
+        + lowered[front : len(form) - back]
+        + _replay(parsed.suffix_ops, lowered[len(form) - back :])
+    )
+    starts = [start for _, start in parsed.segments[1:]] + [len(word)]
+    return "".join(
+        (fold_upper if direction is CaseClass.UPPER else fold_lower)(word[start:end])
+        for (direction, start), end in zip(parsed.segments, starts)
+    )
+
+
+def reference_ixapipes(form, text):
+    lower_first, tokens = ixapipes.parse_label(text)
+    word = form[::-1]
+    if lower_first and word:
+        word = word[:-1] + shift_lower(word[-1])
+    for token in tokens:
+        i = token.index
+        if token.kind == "I":
+            if i > len(word):
+                raise IndexOutOfRange("insert past the word")
+            word = word[:i] + token.chars + word[i:]
+            continue
+        if i >= len(word):
+            raise IndexOutOfRange("edit past the word")
+        if word[i] != token.chars[0]:
+            raise CharMismatch("wrong character")
+        word = word[:i] + token.chars[1:] + word[i + 1 :]
+    return word[::-1]
+
+
+def reference_morpheus(form, text):
+    tokens = morpheus.parse_label(text)
+    if len(tokens) != len(form):
+        raise ArityMismatch("one token per character")
+    word = ""
+    for ch, (kind, payload) in zip(form, tokens):
+        if kind == "s":
+            word += ch
+        elif kind == "l":
+            word += shift_lower(ch)
+        elif kind == "r":
+            word += payload
+    return word
+
+
+REFERENCES = {
+    Scheme.UDPIPE: reference_udpipe,
+    Scheme.IXAPIPES: reference_ixapipes,
+    Scheme.MORPHEUS: reference_morpheus,
+}
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except LabelDecodeError as exc:
+        return type(exc)
+
+
+def _pool(seed=3, pairs=200):
+    """(forms, label texts per scheme): encoder labels plus damaged copies."""
+    rng = random.Random(seed)
+    alphabet = "abdekmnorsABDEKжуЖУİıßç"
+    forms, texts = [], {scheme: [] for scheme in Scheme}
+    while len(forms) < pairs:
+        stem = "".join(rng.choices(alphabet, k=rng.randint(1, 6)))
+        form = stem + "".join(rng.choices(alphabet, k=rng.randint(0, 3)))
+        lemma = stem.capitalize() if rng.random() < 0.2 else stem + rng.choice(["", "a", "ko"])
+        forms.append(form)
+        for scheme, module in MODULES.items():
+            text = module.encode(form, lemma).text
+            texts[scheme] += [text, text[: rng.randint(0, len(text))] + rng.choice(["", "0", "X"])]
+    return forms, {scheme: sorted(set(t for t in found if t)) for scheme, found in texts.items()}
+
+
+FORMS, TEXTS = _pool()
+
+
+def test_the_pool_overflows_every_cache():
+    assert all(len(found) > CACHE_SIZE for found in TEXTS.values())
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_cached_decode_matches_parse_label_and_an_uncached_apply(seed):
+    # every label twice, schemes interleaved, each time on a random form
+    rng = random.Random(seed)
+    calls = [(scheme, text) for scheme, found in TEXTS.items() for text in found] * 2
+    rng.shuffle(calls)
+    for scheme, text in calls:
+        form = rng.choice(FORMS)
+        cached = outcome(decode, form, SesLabel(scheme, text))
+        assert cached == outcome(REFERENCES[scheme], form, text), (scheme, form, text)
+    for module in MODULES.values():
+        assert module._plan.cache_info().currsize <= CACHE_SIZE
+
+
+def test_malformed_labels_raise_on_every_call():
+    # the cache stores no exceptions, so a bad label is rejected every time
+    bad = {Scheme.UDPIPE: "↓0;d", Scheme.IXAPIPES: "D01a", Scheme.MORPHEUS: "q"}
+    for scheme, text in bad.items():
+        label = SesLabel(scheme, text)
+        assert [outcome(decode, "ab", label) for _ in range(3)] == [ParseError] * 3

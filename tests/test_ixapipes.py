@@ -138,6 +138,21 @@ def test_encoder_order_parses(good):
     assert "".join(f"{t.kind}{t.index}{t.chars}" for t in tokens) == good
 
 
+@pytest.mark.parametrize("bad", ["D01a", "R00ab", "I01x", "1D02aD0b"])
+def test_leading_zero_indices_are_parse_errors(bad):
+    # the encoder writes D1a, never D01a; only the index 0 starts with a 0
+    with pytest.raises(ParseError):
+        ixapipes.parse_label(bad)
+    with pytest.raises(ParseError):
+        ixapipes.decode("ab", SesLabel(Scheme.IXAPIPES, bad))
+
+
+@pytest.mark.parametrize("good", ["D00", "R00a", "I01", "D10aD0b"])
+def test_zero_index_and_zero_operands_still_parse(good):
+    _, tokens = ixapipes.parse_label(good)
+    assert "".join(f"{t.kind}{t.index}{t.chars}" for t in tokens) == good
+
+
 def test_oversized_index_is_a_parse_error():
     # past the interpreter's 4,300-digit int conversion limit
     with pytest.raises(ParseError):
