@@ -43,6 +43,17 @@ common-suffix trim is NOT equivalent, because it pins the suffix to the
 end of the script while the walk may match it earlier and emit the
 remaining inserts after it: levenshtein_align("ba", "caa") is "~=+", a
 suffix trim would give "~+=".
+
+When the trimmed strings share no character, the script has a closed
+form and no columns are built. No cell can use MATCH, so a cell's cost
+depends only on the p characters of a and q of b left to align: max(p, q)
+under unit costs and p + 2q under min_script_align's. Under unit costs
+REPLACE keeps the cost optimal whenever p and q are both positive, and
+DELETE exactly while p > q, so the default order replaces min(m, n)
+times and then spends the surplus, while delete_before_replace first
+deletes the m - n surplus of a and then replaces. Under 1/1/2 costs
+every script is optimal, so DELETE, first in preference, consumes all of
+a before INSERT produces b.
 """
 
 from __future__ import annotations
@@ -124,6 +135,11 @@ def _align(a: str, b: str, replace: bool, delete_first: bool) -> str:
     for c in a:
         bit >>= 1
         peq[c] = peq.get(c, 0) | bit
+    if peq.keys().isdisjoint(b):  # the closed form of the module docstring
+        common = min(m, n) if replace else 0
+        if delete_first:
+            return MATCH * k + DELETE * (m - common) + REPLACE * common + INSERT * (n - common)
+        return MATCH * k + REPLACE * common + DELETE * (m - common) + INSERT * (n - common)
     mask = (1 << m) - 1
     drop = [0] * n  # bit set: DELETE optimal
     sub = [0] * n   # bit set: REPLACE optimal

@@ -12,7 +12,8 @@ _MODULES = {Scheme.UDPIPE: udpipe, Scheme.IXAPIPES: ixapipes, Scheme.MORPHEUS: m
 
 def encode(scheme: Scheme, form: str, lemma: str) -> SesLabel:
     """Encode a (form, lemma) pair under the given scheme."""
-    return _MODULES[Scheme(scheme)].encode(form, lemma)
+    module = _MODULES[scheme] if type(scheme) is Scheme else _MODULES[Scheme(scheme)]
+    return module.encode(form, lemma)
 
 
 def decode(form: str, label: SesLabel) -> str:

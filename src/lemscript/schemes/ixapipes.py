@@ -20,6 +20,7 @@ repeated label only pays for its apply step.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -48,30 +49,30 @@ def encode(form: str, lemma: str) -> SesLabel:
 
     source = base[::-1]
     target = lemma[::-1]
-    # the script visits indices in increasing order; one chunk per index
-    # holds its insert run, latest character first, then its D or R
-    chunks: list[str] = []
-    chunk = ""
-    pos = 0
-    j = 0
-    for op in levenshtein_align(source, target, delete_before_replace=True):
+    # walk the script backwards, so indices come in label order; the D or
+    # R at an index waits until the inserts before it in the script, which
+    # the label lists first, are out
+    tokens: list[str] = []
+    pending = ""
+    pos = len(source)
+    j = len(target)
+    for op in reversed(levenshtein_align(source, target, delete_before_replace=True)):
         if op == INSERT:
-            chunk = f"I{pos}{target[j]}" + chunk
-            j += 1
+            j -= 1
+            tokens.append(f"I{pos}{target[j]}")
             continue
+        tokens.append(pending)
+        pos -= 1
         if op == DELETE:
-            chunk += f"D{pos}{source[pos]}"
+            pending = f"D{pos}{source[pos]}"
         elif op == REPLACE:
-            chunk += f"R{pos}{source[pos]}{target[j]}"
-            j += 1
+            j -= 1
+            pending = f"R{pos}{source[pos]}{target[j]}"
         else:
-            j += 1
-        if chunk:
-            chunks.append(chunk)
-            chunk = ""
-        pos += 1
-    chunks.append(chunk)
-    text = "".join(reversed(chunks))
+            j -= 1
+            pending = ""
+    tokens.append(pending)
+    text = "".join(tokens)
     return SesLabel(Scheme.IXAPIPES, LOWER_FLAG + text if lower_first else text)
 
 
@@ -114,6 +115,11 @@ def parse_label(text: str) -> tuple[bool, list[IxaToken]]:
     largest index bound under which the rest cannot parse; a smaller
     bound cannot parse either, so the rest of a label is never parsed
     twice from one offset and bound.
+
+    A label in which no operand is a digit needs no search: each maximal
+    digit run is a whole index, so the label splits into tokens in one
+    way only, and one linear pass reads that split and checks its order.
+    Any label that pass does not accept goes to the search.
     """
     lower_first, tokens = _plan.__wrapped__(text)
     return lower_first, [IxaToken._make(token) for token in tokens]
@@ -121,7 +127,39 @@ def parse_label(text: str) -> tuple[bool, list[IxaToken]]:
 
 @lru_cache(maxsize=128)
 def _plan(text: str) -> tuple[bool, tuple[tuple[str, int, str], ...]]:
-    """parse_label's search, with each token a plain (kind, index, chars)."""
+    """parse_label's parse, with each token a plain (kind, index, chars)."""
+    return _scan(text) or _search(text)
+
+
+# one token: an index of at most 640 digits, the smallest int-string
+# limit the interpreter allows, so int() never raises on it, and operands
+# that are not digits (group 2 is set for R only); a longer index, a
+# leading zero or a digit operand does not match and goes to _search
+_TOKEN = re.compile("((R)|[DI])(0|[1-9][0-9]{0,639})([^0-9](?(2)[^0-9]))")
+
+
+def _scan(text: str) -> tuple[bool, tuple[tuple[str, int, str], ...]] | None:
+    """The one-pass parse of a label without digit operands; None otherwise."""
+    start = 1 if text[:1] == LOWER_FLAG else 0
+    tokens = []
+    # the tokens read do not overlap, so they tile the label iff their
+    # sizes sum to its length
+    size = start
+    bound: float = float("inf")
+    for kind, _, digits, chars in _TOKEN.findall(text, start):
+        index = int(digits)
+        if index > bound:
+            return None
+        tokens.append((kind, index, chars))
+        bound = index if kind == "I" else index - 1
+        size += 1 + len(digits) + len(chars)
+    if size != len(text) or not tokens:
+        return None
+    return start == 1, tuple(tokens)
+
+
+def _search(text: str) -> tuple[bool, tuple[tuple[str, int, str], ...]]:
+    """parse_label's backtracking search, for any label text."""
     if not text:
         raise ParseError("empty ixapipes label")
     if text == IDENTITY:

@@ -44,22 +44,26 @@ def encode(form: str, lemma: str) -> SesLabel:
     parts: list[str] = []
     op = None
     payload = ""
-    j = 0  # next lemma character
+    i = j = 0  # next form and lemma characters
     for step in levenshtein_align(form, lemma):
         if step == INSERT:
             payload += lemma[j]
             j += 1
             continue
-        if op is not None:
-            parts.append(_token(op, form[len(parts)], payload))
+        if op == MATCH and len(payload) == 1:  # the form's own character
+            parts.append(SAME)
+            payload = ""
+        elif op is not None:
+            parts.append(_token(op, form[i - 1], payload))
             payload = ""
         op = step
         if op == MATCH:
-            payload += form[len(parts)]
+            payload += form[i]
             j += 1
         elif op == REPLACE:
             payload += lemma[j]
             j += 1
+        i += 1
     parts.append(_token(op, form[-1], payload))
     return SesLabel(Scheme.MORPHEUS, TOKEN_SEP.join(parts))
 

@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ..alignment import DELETE, MATCH, longest_common_substring, min_script_align
-from ..casing import CaseClass, char_class, fold_lower, fold_upper
+from ..alignment import DELETE, INSERT, MATCH, longest_common_substring, min_script_align
+from ..casing import CaseClass, fold_lower, fold_upper
 from ..errors import EmptyInput, LengthMismatch, ParseError, SchemeMismatch
 from ..model import Scheme, SesLabel
 
@@ -70,11 +70,8 @@ def encode(form: str, lemma: str) -> SesLabel:
     tail = low_lemma[root.start_in_b + root.length :]
     prefix = min_script_align(low_form[: root.start_in_a], head)
     suffix = min_script_align(low_form[root.start_in_a + root.length :], tail)
-    casing = _casing_segments(lemma)
     text = "{};d{}{}{}".format(
-        SCRIPT_SEP.join(
-            f"{UP_MARK if cls is CaseClass.UPPER else DOWN_MARK}{start}" for cls, start in casing
-        ),
+        _casing_text(lemma, low_lemma),
         _serialize_ops(prefix, head),
         SCRIPT_SEP,
         _serialize_ops(suffix, tail),
@@ -166,27 +163,35 @@ def _parse_casing(casing: str) -> tuple[tuple[CaseClass, int], ...]:
     return tuple(segments)
 
 
-_ALL_LOWER = [(CaseClass.LOWER, 0)]
-
-
-def _casing_segments(lemma: str) -> list[tuple[CaseClass, int]]:
+def _casing_text(lemma: str, low_lemma: str) -> str:
     # the segment at 0 takes the class of the first cased character;
-    # caseless characters continue the running class; lower when none
-    if lemma.isascii() and lemma.islower():
-        return _ALL_LOWER
-    segments: list[tuple[CaseClass, int]] = []
+    # caseless characters continue the running class; lower when none.
+    # fold_lower and fold_upper change exactly the upper and the lower
+    # characters, so comparing against them classifies every position
+    if low_lemma == lemma:
+        return DOWN_MARK + "0"
+    up_lemma = fold_upper(lemma)
+    if up_lemma == lemma:
+        return UP_MARK + "0"
+    segments: list[str] = []
     current = None
     for pos, ch in enumerate(lemma):
-        cls = char_class(ch)
-        if cls is None or cls is current:
+        if ch != low_lemma[pos]:
+            mark = UP_MARK
+        elif ch != up_lemma[pos]:
+            mark = DOWN_MARK
+        else:
             continue
-        segments.append((cls, pos if segments else 0))
-        current = cls
-    return segments or _ALL_LOWER
+        if mark != current:
+            segments.append(f"{mark}{pos}" if segments else mark + "0")
+            current = mark
+    return SCRIPT_SEP.join(segments)
 
 
 def _serialize_ops(script: str, target: str) -> str:
     # a min-script alignment producing target; it never replaces
+    if INSERT not in script:
+        return script.replace(MATCH, COPY_MARK)
     parts = []
     j = 0
     for op in script:

@@ -229,3 +229,18 @@ def test_long_token_roundtrips_under_every_scheme():
     lemma = "".join(lemma)
     for scheme in Scheme:
         assert decode(form, encode(scheme, form, lemma)) == lemma, scheme
+
+
+# --- disjoint alphabets: the closed form ---------------------------------
+
+SHARED = st.text(alphabet="abxy", max_size=4)
+LEFT = st.text(alphabet="abcабß", max_size=9)
+RIGHT = st.text(alphabet="xyzвгİı", max_size=9)
+
+
+@given(SHARED, LEFT, RIGHT)
+def test_disjoint_remainders_match_reference(prefix, left, right):
+    # past the shared prefix the two sides have no character in common,
+    # so the aligners take the closed form, empty remainders included
+    assert_same_as_reference(prefix + left, prefix + right)
+    assert_same_as_reference(prefix + right, prefix + left)

@@ -155,8 +155,64 @@ def test_zero_index_and_zero_operands_still_parse(good):
 
 def test_oversized_index_is_a_parse_error():
     # past the interpreter's 4,300-digit int conversion limit
-    with pytest.raises(ParseError):
-        ixapipes.decode("ab", SesLabel(Scheme.IXAPIPES, "D" + "1" * 5000 + "a"))
+    for digits in (4_400, 5_000):
+        with pytest.raises(ParseError):
+            ixapipes.decode("ab", SesLabel(Scheme.IXAPIPES, "D" + "1" * digits + "a"))
+
+
+@pytest.mark.parametrize(
+    "form,lemma,text,tokens",
+    [
+        ("x12", "x", "D11D02", [("D", 1, "1"), ("D", 0, "2")]),
+        ("ab", "a11", "I11R0b1", [("I", 1, "1"), ("R", 0, "b1")]),
+        ("x1", "x2", "R012", [("R", 0, "12")]),
+    ],
+)
+def test_digit_operand_labels_fall_back_to_the_search(form, lemma, text, tokens):
+    # a digit operand makes the split ambiguous, so the linear pass refuses
+    # the label and the search resolves it as it always did
+    assert ixapipes.encode(form, lemma).text == text
+    assert ixapipes._scan(text) is None
+    assert ixapipes.parse_label(text) == (False, [ixapipes.IxaToken(*t) for t in tokens])
+    assert ixapipes.decode(form, SesLabel(Scheme.IXAPIPES, text)) == lemma
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as error:
+        return ParseError, str(error)
+
+
+def assert_scan_agrees_with_search(text):
+    scanned = ixapipes._scan(text)
+    if scanned is not None:
+        assert scanned == ixapipes._search(text), text
+    assert outcome(ixapipes._plan.__wrapped__, text) == outcome(ixapipes._search, text), text
+
+
+# token-shaped text: operands over ab01, indices in any order
+OPERANDS = st.text(alphabet="ab01", min_size=2, max_size=2)
+TOKEN_TEXT = st.lists(st.tuples(st.sampled_from("RDI"), st.integers(0, 12), OPERANDS)).map(
+    lambda tokens: "".join(f"{k}{i}{c[: 2 if k == 'R' else 1]}" for k, i, c in tokens)
+)
+
+
+@given(st.one_of(st.text(alphabet="RDI0123456789ab", max_size=16), TOKEN_TEXT))
+def test_linear_pass_matches_the_search_on_random_text(text):
+    assert_scan_agrees_with_search(text)
+    assert_scan_agrees_with_search(ixapipes.LOWER_FLAG + text)
+
+
+DIGIT_WORDS = st.text(alphabet="abcAB0123456789", min_size=1, max_size=12)
+
+
+@given(DIGIT_WORDS, DIGIT_WORDS)
+def test_linear_pass_matches_the_search_on_encoder_labels(form, lemma):
+    text = ixapipes.encode(form, lemma).text
+    assert_scan_agrees_with_search(text)
+    if not any(c.isdigit() for c in form + lemma) and text not in ("O", "1"):
+        assert ixapipes._scan(text) is not None, text
 
 
 def test_identity_label_only_alone():

@@ -130,6 +130,31 @@ def test_insert_payload_may_be_any_character():
     assert parsed.suffix_ops == (("del", ""),)
 
 
+@pytest.mark.parametrize(
+    "script,prefix,suffix",
+    [
+        ("→+-¦+¦", (("copy", ""), ("ins", "-")), (("ins", "¦"),)),
+        ("¦++→", (), (("ins", "+"), ("copy", ""))),
+    ],
+)
+def test_op_characters_as_insert_payloads(script, prefix, suffix):
+    parsed = udpipe.parse_label("↓0;d" + script)
+    assert (parsed.prefix_ops, parsed.suffix_ops) == (prefix, suffix)
+
+
+@pytest.mark.parametrize(
+    "script,message",
+    [
+        ("¦¦", "more than one prefix/suffix separator"),
+        ("→-+x", "missing prefix/suffix separator"),
+        ("", "missing prefix/suffix separator"),
+    ],
+)
+def test_script_faults_keep_their_messages(script, message):
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        udpipe.parse_label("↓0;d" + script)
+
+
 LETTERS = "abcdstzABCDSTZжуकिЖӰßİıçğşÇĞŞëË"
 WORDS = st.text(alphabet=LETTERS, min_size=1, max_size=12)
 
