@@ -186,10 +186,7 @@ def _sentence_hits(gold: Sequence[Sequence[str]], pred: Sequence[Sequence[str]])
 
 
 def unique_labels(labeled: LabeledCorpus) -> LabelVocabulary:
-    counts: Counter[str] = Counter()
-    for sentence in labeled.sentences:
-        for tok in sentence:
-            counts[tok.label.text] += 1
+    counts = Counter(tok.label.text for sentence in labeled.sentences for tok in sentence)
     return LabelVocabulary(labeled.scheme, dict(counts))
 
 

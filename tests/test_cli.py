@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
 
 from conftest import COMPARISON_CONLLU, COMPARISON_LABELS
 from lemscript.cli import main
+from synth import make_stems, synthetic_corpus
 
 TWO_TOKEN_TRAIN = (
     "1\tcats\tcat\tNOUN\t_\t_\t_\t_\t_\t_\n"
@@ -307,3 +309,74 @@ def test_prediction_row_without_lemma_is_rejected(tmp_path, comparison_file, cap
     pred.write_text("cats\tcat\n\nbirds\n\n", encoding="utf-8")
     assert main(["eval", str(comparison_file), str(pred)]) == 2
     assert f"error: {pred}:3: expected 2 tab-separated columns, got 1" in capsys.readouterr().err
+
+
+# --- the collector pause: no per-token cycles, caller's state restored ------
+
+
+def conllu_text(corpus):
+    return "".join(
+        "".join(f"{t.index}\t{t.form}\t{t.lemma}\t{t.upos}\t_\t_\t_\t_\t_\t_\n" for t in s.tokens)
+        + "\n"
+        for s in corpus.sentences
+    )
+
+
+@pytest.fixture
+def collector_off():
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+def test_cyclic_garbage_does_not_grow_with_the_corpus(
+    tmp_path, monkeypatch, capsys, collector_off
+):
+    train = synthetic_corpus(2_000, seed=1, stems=make_stems(5, 3000, 3, 9))
+    test = synthetic_corpus(4_000, seed=2, stems=make_stems(6, 3000, 3, 9))
+    test_forms = {t.form for s in test.sentences for t in s.tokens}
+    model = tmp_path / "unseen.json"
+    # every form is unseen and no form ends in "q", so every decode raises
+    model.write_text('{"scheme": "ixapipes", "per_form": {}, "fallback": "D0q"}', encoding="utf-8")
+    commands = {
+        "compare": ["compare", "train.conllu", "test.conllu", "--out", "report.json"],
+        "train": ["train", "train.conllu", "model.json", "--scheme", "ixapipes"],
+        "encode": ["encode", "train.conllu", "labeled.tsv", "--scheme", "all"],
+        "predict": ["predict", str(model), "test.conllu", "pred.tsv"],
+    }
+    garbage = {}
+    for copies in (1, 4):
+        run = tmp_path / f"x{copies}"
+        run.mkdir()
+        (run / "train.conllu").write_text(conllu_text(train) * copies, encoding="utf-8")
+        (run / "test.conllu").write_text(conllu_text(test) * copies, encoding="utf-8")
+        monkeypatch.chdir(run)
+        for name, argv in commands.items():
+            assert main(argv) == 0
+            garbage[name, copies] = gc.collect()
+        failed = copies * test.token_count
+        assert f"{failed} prediction(s) fell back" in capsys.readouterr().err
+    for name in commands:
+        assert garbage[name, 1] == garbage[name, 4], name
+    # one cycle per failed decode would leave more garbage than the parser's
+    assert len(test_forms) > 2_000
+    assert garbage["predict", 1] < len(test_forms)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_callers_collector_state(tmp_path, comparison_file, capsys, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["stats", str(comparison_file)]) == 0
+        assert gc.isenabled() is enabled
+        assert main(["stats", str(tmp_path / "missing.conllu")]) == 2
+        assert gc.isenabled() is enabled
+        with pytest.raises(SystemExit):
+            main(["stats", str(comparison_file), "--bogus"])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
