@@ -38,11 +38,22 @@ of a, a column per character of b:
 
 A shared common prefix is consumed before the columns are built:
 whenever the current characters are equal, MATCH is both optimal and
-first in preference, so trimming is exactly what the walk would do. A
-common-suffix trim is NOT equivalent, because it pins the suffix to the
-end of the script while the walk may match it earlier and emit the
-remaining inserts after it: levenshtein_align("ba", "caa") is "~=+", a
-suffix trim would give "~+=".
+first in preference, so trimming is exactly what the walk would do.
+
+A common suffix w of the remainders x + w and y + w is then trimmed
+under a guard. Under unit costs d(u + w, v + w) = d(u, v), and under
+1/1/2 costs LCS(u + w, v + w) = LCS(u, v) + |w|, so every cell (i, j)
+with i <= |x| and j <= |y| has the trimmed problem's cost up to a
+constant, and the full walk takes the trimmed walk's moves until it
+reaches the boundary i = |x| or j = |y|. There the trimmed walk only
+deletes the rest of x or inserts the rest of y. The full walk does the
+same, as every other move there costs more than the optimum, except that
+it takes MATCH at the first of those characters that equals w[0]. So the
+trimmed script, followed by |w| MATCHes, is exact when no character of
+its trailing DELETE run (in x) or INSERT run (in y) equals w[0];
+otherwise the untrimmed strings are aligned. levenshtein_align("ba",
+"caa") is such a fallback: the full walk gives "~=+", where the trimmed
+script followed by the suffix would be "~+=".
 
 When the trimmed strings share no character, the script has a closed
 form and no columns are built. No cell can use MATCH, so a cell's cost
@@ -75,10 +86,13 @@ class LcsResult(NamedTuple):
 def longest_common_substring(a: str, b: str) -> LcsResult:
     """Longest common substring; ties broken by smallest start in a, then b.
 
-    Returns (0, 0, 0) when the strings share no character.
+    Returns (0, 0, 0) when the strings share no character. When one
+    string contains the other, it is the answer, found without a scan.
     """
-    if a == b:
-        return LcsResult(0, 0, len(a))
+    if b in a:
+        return LcsResult(a.find(b), 0, len(b))
+    if a in b:
+        return LcsResult(0, b.find(a), len(a))
     best = best_a = 0
     i = 0
     # each start in a only has to beat the best so far; substring search
@@ -128,6 +142,34 @@ def _align(a: str, b: str, replace: bool, delete_first: bool) -> str:
     n = len(b)
     if not m or not n:
         return MATCH * k + DELETE * m + INSERT * n
+    s = 0  # the common suffix, for the guarded trim of the module docstring
+    limit = min(m, n)
+    while s < limit and a[m - 1 - s] == b[n - 1 - s]:
+        s += 1
+    if s:
+        x = a[: m - s]
+        y = b[: n - s]
+        script = _script(x, y, replace, delete_first)
+        # the trailing run consumes the end of one side; the full walk
+        # would MATCH any of its characters that equals the suffix's first
+        last = script[-1:]
+        if last == DELETE:
+            run = x[len(script.rstrip(DELETE)) - len(script) :]
+        elif last == INSERT:
+            run = y[len(script.rstrip(INSERT)) - len(script) :]
+        else:
+            run = ""
+        if a[m - s] not in run:
+            return MATCH * k + script + MATCH * s
+    return MATCH * k + _script(a, b, replace, delete_first)
+
+
+def _script(a: str, b: str, replace: bool, delete_first: bool) -> str:
+    """The script of a to b without the trims: the closed form or the walk."""
+    m = len(a)
+    n = len(b)
+    if not m or not n:
+        return DELETE * m + INSERT * n
 
     # bit m-1-i stands for a[i]; column j is the DP column of b[j:]
     peq: dict[str, int] = {}
@@ -138,8 +180,8 @@ def _align(a: str, b: str, replace: bool, delete_first: bool) -> str:
     if peq.keys().isdisjoint(b):  # the closed form of the module docstring
         common = min(m, n) if replace else 0
         if delete_first:
-            return MATCH * k + DELETE * (m - common) + REPLACE * common + INSERT * (n - common)
-        return MATCH * k + REPLACE * common + DELETE * (m - common) + INSERT * (n - common)
+            return DELETE * (m - common) + REPLACE * common + INSERT * (n - common)
+        return REPLACE * common + DELETE * (m - common) + INSERT * (n - common)
     mask = (1 << m) - 1
     drop = [0] * n  # bit set: DELETE optimal
     sub = [0] * n   # bit set: REPLACE optimal
@@ -163,7 +205,7 @@ def _align(a: str, b: str, replace: bool, delete_first: bool) -> str:
 
     i = j = 0
     bit = 1 << (m - 1)
-    script = MATCH * k
+    script = ""
     while i < m and j < n:
         if a[i] == b[j]:
             script += MATCH

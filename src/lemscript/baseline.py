@@ -114,11 +114,13 @@ def load_model(fp: IO[str]) -> BaselineModel:
     try:
         payload = json.load(fp)
         scheme = Scheme(payload["scheme"])
-        per_form, fallback = dict(payload["per_form"]), payload["fallback"]
+        per_form, fallback = payload["per_form"], payload["fallback"]
     except json.JSONDecodeError as exc:
         raise FormatError(exc.lineno, f"invalid model JSON: {exc.msg}") from None
     except (LookupError, TypeError, ValueError) as exc:
         raise FormatError(1, f"not a baseline model: {type(exc).__name__}: {exc}") from None
+    if not isinstance(per_form, dict):
+        raise FormatError(1, "not a baseline model: per_form is not a JSON object")
     if not all(isinstance(text, str) and text for text in (fallback, *per_form.values())):
         raise FormatError(1, "model labels must be non-empty strings")
     return BaselineModel(scheme, per_form, fallback)

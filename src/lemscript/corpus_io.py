@@ -1,15 +1,17 @@
 """Treebank ingestion, the proper-noun lemma adjustment, and labeled datasets.
 
 Input is CoNLL-U: tab-separated 10-column rows, "#" comment lines, blank
-lines between sentences, UTF-8. Multiword-range rows (ID contains "-")
-and empty nodes (ID contains ".") are skipped; a LEMMA of "_" is treated
-as absent. Labeled datasets serialize as 3-column TSV
-(form<TAB>gold_lemma<TAB>label) and lemma predictions as 2-column TSV
-(form<TAB>lemma), each with a blank line after each sentence.
+lines between sentences, UTF-8. A word's ID is ASCII digits; multiword
+ranges (ID "N-M") and empty nodes (ID "N.M") are skipped, and any other
+ID is a format error. A LEMMA of "_" is treated as absent. Labeled
+datasets serialize as 3-column TSV (form<TAB>gold_lemma<TAB>label) and
+lemma predictions as 2-column TSV (form<TAB>lemma), each with a blank
+line after each sentence.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from typing import IO, Callable, Iterable, Iterator, TypeVar
 
@@ -51,6 +53,7 @@ def parse_conllu(lines: Iterable[str], source_name: str = "") -> Corpus:
     """Read CoNLL-U rows; every repeat of a FORM, LEMMA or UPOS value
     shares the string object of its first occurrence."""
     share = {}.setdefault
+    indices: dict[str, int] = {}  # each distinct ID column, parsed once
     sentences: list[Sentence] = []
     tokens: list[Token] = []
     comments: list[str] = []
@@ -73,13 +76,11 @@ def parse_conllu(lines: Iterable[str], source_name: str = "") -> Corpus:
         cols = line.split("\t")
         if len(cols) < 10:
             raise FormatError(lineno, f"expected 10 tab-separated columns, got {len(cols)}")
-        token_id = cols[0]
-        if "-" in token_id or "." in token_id:
+        index = indices.get(cols[0])
+        if index is None:
+            index = indices[cols[0]] = _token_index(cols[0], lineno)
+        if index < 0:
             continue
-        try:
-            index = int(token_id)
-        except ValueError:
-            raise FormatError(lineno, f"non-numeric token id {token_id!r}") from None
         form, lemma, upos = cols[1], cols[2], cols[3]
         if not form:
             raise FormatError(lineno, "empty FORM column")
@@ -88,6 +89,21 @@ def parse_conllu(lines: Iterable[str], source_name: str = "") -> Corpus:
         tokens.append(Token(share(form, form), lemma, upos, index))
     flush()
     return Corpus(tuple(sentences), source_name)
+
+
+_TOKEN_ID = re.compile("[0-9]+(?:[-.][0-9]+)?")
+
+
+def _token_index(token_id: str, lineno: int) -> int:
+    """The index of a word's ID; -1 for a multiword range N-M or an empty node N.M."""
+    if not _TOKEN_ID.fullmatch(token_id):
+        raise FormatError(lineno, f"non-numeric token id {token_id!r}")
+    if not token_id.isdigit():
+        return -1
+    try:
+        return int(token_id)
+    except ValueError:  # beyond the interpreter's int-string limit
+        raise FormatError(lineno, f"token id of {len(token_id)} digits") from None
 
 
 def read_conllu(path: str, source_name: str | None = None) -> Corpus:

@@ -24,7 +24,7 @@ import re
 from functools import lru_cache
 from typing import NamedTuple
 
-from ..alignment import DELETE, INSERT, REPLACE, levenshtein_align
+from ..alignment import DELETE, INSERT, MATCH, REPLACE, levenshtein_align
 from ..casing import CaseClass, char_class, shift_lower
 from ..errors import CharMismatch, EmptyInput, IndexOutOfRange, ParseError, SchemeMismatch
 from ..model import Scheme, SesLabel
@@ -51,12 +51,14 @@ def encode(form: str, lemma: str) -> SesLabel:
     target = lemma[::-1]
     # walk the script backwards, so indices come in label order; the D or
     # R at an index waits until the inserts before it in the script, which
-    # the label lists first, are out
+    # the label lists first, are out. The trailing MATCH run emits nothing
+    script = levenshtein_align(source, target, delete_before_replace=True)
+    edits = script.rstrip(MATCH)
     tokens: list[str] = []
     pending = ""
-    pos = len(source)
-    j = len(target)
-    for op in reversed(levenshtein_align(source, target, delete_before_replace=True)):
+    pos = len(source) - len(script) + len(edits)
+    j = len(target) - len(script) + len(edits)
+    for op in reversed(edits):
         if op == INSERT:
             j -= 1
             tokens.append(f"I{pos}{target[j]}")

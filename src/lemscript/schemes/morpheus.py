@@ -40,12 +40,20 @@ def encode(form: str, lemma: str) -> SesLabel:
         return SesLabel(Scheme.MORPHEUS, TOKEN_SEP.join(SAME * len(form)))
 
     # one token per consuming op; a token's payload collects the inserts
-    # before it (leading run only), its own character and the inserts after
-    parts: list[str] = []
-    op = None
-    payload = ""
-    i = j = 0  # next form and lemma characters
-    for step in levenshtein_align(form, lemma):
+    # before it (leading run only), its own character and the inserts after.
+    # A leading MATCH run of k is k - 1 SAME tokens and a pending MATCH
+    script = levenshtein_align(form, lemma)
+    edits = script.lstrip(MATCH)
+    i = j = len(script) - len(edits)  # next form and lemma characters
+    if i:
+        parts = [SAME] * (i - 1)
+        op = MATCH
+        payload = form[i - 1]
+    else:
+        parts = []
+        op = None
+        payload = ""
+    for step in edits:
         if step == INSERT:
             payload += lemma[j]
             j += 1

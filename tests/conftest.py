@@ -1,6 +1,14 @@
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
+
+# HYPOTHESIS_PROFILE=ci searches every property deeper; unset, the
+# library defaults apply
+settings.register_profile("ci", max_examples=1000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 from lemscript.model import Corpus, Sentence, Token
 

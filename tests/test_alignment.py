@@ -70,6 +70,13 @@ def test_lcs_examples():
     assert longest_common_substring("", "abc") == (0, 0, 0)
 
 
+def test_lcs_containment_answers():
+    # one string inside the other: its first occurrence is the root
+    assert longest_common_substring("abab", "ab") == (0, 0, 2)
+    assert longest_common_substring("ab", "xabab") == (0, 1, 2)
+    assert longest_common_substring("xabab", "bab") == (2, 0, 3)
+
+
 def test_lcs_within_bound_matches_oracle():
     strings = ["".join(p) for n in range(4) for p in itertools.product("abc", repeat=n)]
     for a in strings:
@@ -244,3 +251,37 @@ def test_disjoint_remainders_match_reference(prefix, left, right):
     # so the aligners take the closed form, empty remainders included
     assert_same_as_reference(prefix + left, prefix + right)
     assert_same_as_reference(prefix + right, prefix + left)
+
+
+# --- a shared stem at both ends: the guarded suffix trim -----------------
+
+STEM = st.text(alphabet="ab", max_size=4)
+MIDDLE = st.text(alphabet="abc", max_size=6)
+
+
+def test_suffix_trim_fixtures():
+    # (levenshtein_align, with delete_before_replace, min_script_align)
+    cases = {
+        # guard fallbacks: the trimmed walk would insert or delete an "a"
+        # before the shared suffix "a", where the full walk matches it
+        ("ba", "caa"): ("~=+", "~=+", "-+=+"),
+        ("caa", "ba"): ("~=-", "-~=", "--+="),
+        # trimmed scripts kept: nothing before the suffix equals its start
+        ("stac", "tac"): ("-===", "-===", "-==="),
+        ("xbc", "ybc"): ("~==", "~==", "-+=="),
+    }
+    for (a, b), scripts in cases.items():
+        assert (
+            levenshtein_align(a, b),
+            levenshtein_align(a, b, delete_before_replace=True),
+            min_script_align(a, b),
+        ) == scripts, (a, b)
+        assert_same_as_reference(a, b)
+
+
+@given(STEM, MIDDLE, MIDDLE, STEM)
+def test_shared_ends_match_reference(prefix, left, right, suffix):
+    # small shared alphabets, so the remainders' ends often equal the
+    # suffix's first character and the guard has to fall back
+    assert_same_as_reference(prefix + left + suffix, prefix + right + suffix)
+    assert_same_as_reference(prefix + right + suffix, prefix + left + suffix)

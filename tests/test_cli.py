@@ -286,6 +286,7 @@ def test_non_utf8_tsv_names_the_line(tmp_path, capsys):
         ('{"scheme": "ixapipes", "fallback": "D0s"}', 1),                    # no per_form
         ('{"scheme": "lemming", "per_form": {}, "fallback": "D0s"}', 1),     # unknown scheme
         ('{"scheme": "ixapipes", "per_form": {"cats": ""}, "fallback": "D0s"}', 1),  # empty label
+        ('{"scheme": "ixapipes", "per_form": [["cats", "D0s"]], "fallback": "D0s"}', 1),  # pairs
     ],
 )
 def test_malformed_model_names_the_line(tmp_path, capsys, text, line):

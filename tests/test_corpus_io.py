@@ -47,6 +47,22 @@ def test_multiword_range_rows_are_skipped():
     assert [t.form for t in corpus.sentences[0].tokens] == ["de", "el"]
 
 
+@pytest.mark.parametrize(
+    "token_id", ["1_0", " 2", "+3", "٣", "1-", "-1", "1.2.3", "a-b", "", "9" * 5000]
+)
+def test_token_id_outside_conllu_is_rejected(token_id):
+    text = MINIMAL + f"{token_id}\tdogs\tdog\tNOUN\t_\t_\t_\t_\t_\t_\n"
+    with pytest.raises(FormatError, match="token id") as err:
+        parse_conllu(text.splitlines())
+    assert err.value.line_number == 5
+
+
+def test_repeated_ids_and_ranges_parse_alike():
+    text = "10\tcats\tcat\tNOUN\t_\t_\t_\t_\t_\t_\n\n10-11\tdel\t_\t_\t_\t_\t_\t_\t_\t_\n" * 2
+    first, second = parse_conllu(text.splitlines()).sentences
+    assert [t.index for t in first.tokens] == [t.index for t in second.tokens] == [10]
+
+
 def test_underscore_lemma_is_absent():
     text = "1\tfoo\t_\tX\t_\t_\t_\t_\t_\t_\n"
     corpus = parse_conllu(text.splitlines())
