@@ -37,25 +37,25 @@ class PredictionStats:
 def train_baseline(labeled: LabeledCorpus) -> BaselineModel:
     """Ties break toward the lexicographically smallest label text.
 
-    Tokens are counted per distinct (form, label text), then folded into
-    per-form and overall label counts.
+    Tokens are counted per distinct (lowercased form, label text); one
+    walk over those counts keeps each form's best text and its count,
+    and sums the overall label counts.
     """
     pairs = Counter(
-        (tok.form, tok.label.text) for sentence in labeled.sentences for tok in sentence
+        (tok.form.lower(), tok.label.text) for sentence in labeled.sentences for tok in sentence
     )
-    by_form: dict[str, dict[str, int]] = {}
-    overall: Counter[str] = Counter()
+    per_form: dict[str, str] = {}
+    top: dict[str, int] = {}  # the count of each form's best text so far
+    overall: dict[str, int] = {}
     for (form, text), n in pairs.items():
-        counts = by_form.setdefault(form.lower(), {})
-        counts[text] = counts.get(text, 0) + n
-        overall[text] += n
+        overall[text] = overall.get(text, 0) + n
+        best = top.get(form, 0)
+        if n > best or (n == best and text < per_form[form]):
+            per_form[form] = text
+            top[form] = n
     if not overall:
         raise EmptyCorpus("cannot train a baseline on zero labeled tokens")
-    return BaselineModel(
-        scheme=labeled.scheme,
-        per_form={form: _majority(counts) for form, counts in by_form.items()},
-        fallback=_majority(overall),
-    )
+    return BaselineModel(labeled.scheme, per_form, _majority(overall))
 
 
 def predict_lemma(model: BaselineModel, form: str) -> tuple[str, bool]:
@@ -127,8 +127,6 @@ def load_model(fp: IO[str]) -> BaselineModel:
 
 
 def _majority(counts: dict[str, int]) -> str:
-    if len(counts) == 1:  # most forms carry one label
-        return next(iter(counts))
     top = max(counts.values())
     return min(text for text, n in counts.items() if n == top)
 

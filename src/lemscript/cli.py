@@ -4,10 +4,11 @@ Subcommands: encode, decode, stats, eval, mcnemar, compare, train,
 predict. Exit codes: 0 success, 1 contract failure (encode failures
 present), 2 usage, I/O or input error; input errors name the file and
 line. All reports are deterministic given identical inputs and flags;
-JSON output uses sorted keys. main() pauses the cyclic garbage collector
-while its subcommand runs, since a run builds no per-token reference
-cycles, and then restores the caller's collector state; library
-functions never touch it.
+JSON output uses sorted keys. Commands that label under several schemes
+keep one scheme's labels, model and sets alive at a time. main() pauses
+the cyclic garbage collector while its subcommand runs, since a run
+builds no per-token reference cycles, and then restores the caller's
+collector state; library functions never touch it.
 """
 
 from __future__ import annotations
@@ -129,11 +130,8 @@ def cmd_encode(args: argparse.Namespace) -> int:
         return 2
     failures: dict[str, list[dict[str, object]]] = {}
     for scheme in targets:
-        labeled, scheme_failures = corpus_io.label_corpus(corpus, scheme)
-        failures[scheme.value] = [asdict(f) for f in scheme_failures]
         path = args.output if len(targets) == 1 else _suffixed(args.output, scheme.value)
-        with _open_out(path) as fp:
-            corpus_io.write_labeled(labeled, fp)
+        failures[scheme.value] = _encode_to(corpus, scheme, path)
     if args.failures:
         # a single scheme gets the bare failure array
         _write_json(failures if len(targets) > 1 else failures[targets[0].value], args.failures)
@@ -142,6 +140,13 @@ def cmd_encode(args: argparse.Namespace) -> int:
         print(f"{total_failures} token(s) failed to encode", file=sys.stderr)
         return 1
     return 0
+
+
+def _encode_to(corpus: Corpus, scheme: Scheme, path: str) -> list[dict[str, object]]:
+    labeled, failures = corpus_io.label_corpus(corpus, scheme)
+    with _open_out(path) as fp:
+        corpus_io.write_labeled(labeled, fp)
+    return [asdict(f) for f in failures]
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
@@ -170,16 +175,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     report: dict[str, object] = {
         "token_total": corpus.token_count,
         "sentence_total": corpus.sentence_count,
-        "schemes": {},
+        "schemes": {scheme.value: _stats_row(corpus, scheme) for scheme in ALL_SCHEMES},
     }
-    for scheme in ALL_SCHEMES:
-        labeled, failures = corpus_io.label_corpus(corpus, scheme)
-        vocab = metrics.unique_labels(labeled)
-        report["schemes"][scheme.value] = {
-            "unique_labels": vocab.unique_count,
-            "labeled_tokens": vocab.token_total,
-            "encode_failures": len(failures),
-        }
     if args.format == "json":
         _write_json(report)
     else:
@@ -189,6 +186,16 @@ def cmd_stats(args: argparse.Namespace) -> int:
             row = report["schemes"][scheme.value]
             print(f"{scheme.value:<10} {row['unique_labels']:>13} {row['labeled_tokens']:>14}")
     return 0
+
+
+def _stats_row(corpus: Corpus, scheme: Scheme) -> dict[str, int]:
+    labeled, failures = corpus_io.label_corpus(corpus, scheme)
+    vocab = metrics.unique_labels(labeled)
+    return {
+        "unique_labels": vocab.unique_count,
+        "labeled_tokens": vocab.token_total,
+        "encode_failures": len(failures),
+    }
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -246,38 +253,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "sentences": corpus.sentence_count,
         }
     predictions: dict[str, list[list[str]]] = {}
-    both = Corpus(train_corpus.sentences + test_corpus.sentences)
-    split = len(train_corpus.sentences)
     for scheme in ALL_SCHEMES:
-        # one pass labels both corpora; its rows follow the input sentences
-        labeled, failures = corpus_io.label_corpus(both, scheme)
-        train_labeled = corpus_io.LabeledCorpus(scheme, labeled.sentences[:split])
-        test_labeled = corpus_io.LabeledCorpus(scheme, labeled.sentences[split:])
-        model = baseline.train_baseline(train_labeled)
-        pred, stats = baseline.predict_corpus(model, test_corpus, lemmatized_only=True)
-        predictions[scheme.value] = pred
-        # only the train forms that labeled successfully count as seen
-        train_forms = {t.form for s in train_labeled.sentences for t in s}
-        scores = metrics.evaluate(test_corpus, pred, train_forms)
-        oov = metrics.oov_report(train_labeled, test_labeled)
-        report["schemes"][scheme.value] = {
-            "unique_labels": metrics.unique_labels(train_labeled).unique_count,
-            "encode_failures": len(failures),
-            "baseline": {
-                "word_accuracy": scores.word_accuracy,
-                "sentence_accuracy": scores.sentence_accuracy,
-                "inv_accuracy": scores.inv_accuracy,
-                "oov_accuracy": scores.oov_accuracy,
-                "fallback_uses": stats.fallback_uses,
-                "decode_failures": stats.decode_failures,
-            },
-            # the OovReport rates and flag, named without their "oov_" prefix
-            "oov": {
-                name.removeprefix("oov_"): value
-                for name, value in asdict(oov).items()
-                if name != "token_total"
-            },
-        }
+        row, predictions[scheme.value] = _compare_scheme(scheme, train_corpus, test_corpus)
+        report["schemes"][scheme.value] = row
 
     gold = metrics.gold_lemmas(test_corpus)
     for first, second in itertools.combinations([s.value for s in ALL_SCHEMES], 2):
@@ -289,6 +267,38 @@ def cmd_compare(args: argparse.Namespace) -> int:
     else:
         _write_json(report, args.out)
     return 0
+
+
+def _compare_scheme(scheme: Scheme, train: Corpus, test: Corpus) -> tuple[dict, list[list[str]]]:
+    """One scheme's report row and test predictions; train and test are labeled in one pass."""
+    labeled, failures = corpus_io.label_corpus(Corpus(train.sentences + test.sentences), scheme)
+    split = len(train.sentences)
+    train_labeled = corpus_io.LabeledCorpus(scheme, labeled.sentences[:split])
+    test_labeled = corpus_io.LabeledCorpus(scheme, labeled.sentences[split:])
+    model = baseline.train_baseline(train_labeled)
+    pred, stats = baseline.predict_corpus(model, test, lemmatized_only=True)
+    # only the train forms that labeled successfully count as seen
+    train_forms = {t.form for s in train_labeled.sentences for t in s}
+    scores = metrics.evaluate(test, pred, train_forms)
+    oov = metrics.oov_report(train_labeled, test_labeled)
+    return {
+        "unique_labels": metrics.unique_labels(train_labeled).unique_count,
+        "encode_failures": len(failures),
+        "baseline": {
+            "word_accuracy": scores.word_accuracy,
+            "sentence_accuracy": scores.sentence_accuracy,
+            "inv_accuracy": scores.inv_accuracy,
+            "oov_accuracy": scores.oov_accuracy,
+            "fallback_uses": stats.fallback_uses,
+            "decode_failures": stats.decode_failures,
+        },
+        # the OovReport rates and flag, named without their "oov_" prefix
+        "oov": {
+            name.removeprefix("oov_"): value
+            for name, value in asdict(oov).items()
+            if name != "token_total"
+        },
+    }, pred
 
 
 def _compare_text(report: dict) -> str:

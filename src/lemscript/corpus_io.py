@@ -182,12 +182,14 @@ def label_corpus(
     failures instead of being included. Tokens without a lemma are
     skipped. Each distinct (form, lemma) pair is encoded and verified
     once; the finished LabeledToken, or the failure reason, is cached
-    and every repeat of the pair reuses it. The output has one row per
-    input sentence, so callers with several corpora (compare's train
-    and test) label their concatenation in one pass and split the rows.
+    and every repeat reuses it, and all labels of one text share one
+    SesLabel. The output has one row per input sentence, so callers
+    with several corpora (compare's train and test) label their
+    concatenation in one pass and split the rows.
     """
     scheme = Scheme(scheme)
     cache: dict[tuple[str, str], LabeledToken | str] = {}
+    labels: dict[str, SesLabel] = {}
     failures: list[LabelFailure] = []
     out: list[tuple[LabeledToken, ...]] = []
     for sent_idx, sentence in enumerate(corpus.sentences):
@@ -198,7 +200,7 @@ def label_corpus(
             key = (tok.form, tok.lemma)
             hit = cache.get(key)
             if hit is None:
-                hit = cache[key] = _label_pair(scheme, tok.form, tok.lemma)
+                hit = cache[key] = _label_pair(scheme, tok.form, tok.lemma, labels)
             if isinstance(hit, str):
                 failures.append(LabelFailure(sent_idx, tok.index, hit))
             else:
@@ -207,8 +209,8 @@ def label_corpus(
     return LabeledCorpus(scheme, tuple(out)), failures
 
 
-def _label_pair(scheme: Scheme, form: str, lemma: str) -> LabeledToken | str:
-    """The verified LabeledToken of one pair, or why it cannot be labeled."""
+def _label_pair(scheme: Scheme, form: str, lemma: str, labels: dict) -> LabeledToken | str:
+    """The verified LabeledToken of one pair, sharing labels[text], or why it fails."""
     try:
         label = schemes.encode(scheme, form, lemma)
         decoded = schemes.decode(form, label)
@@ -216,7 +218,7 @@ def _label_pair(scheme: Scheme, form: str, lemma: str) -> LabeledToken | str:
         return f"{type(exc).__name__}: {exc}"
     if decoded != lemma:
         return f"decoded to {decoded!r} instead of gold lemma"
-    return LabeledToken(form, lemma, label)
+    return LabeledToken(form, lemma, labels.setdefault(label.text, label))
 
 
 def write_labeled(labeled: LabeledCorpus, fp: IO[str]) -> None:

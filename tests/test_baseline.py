@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 from collections import Counter
+from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -45,6 +46,32 @@ def test_tie_breaks_lexicographically():
     ]
     model = train_baseline(LabeledCorpus(Scheme.IXAPIPES, (tuple(tokens),)))
     assert model.per_form["x"] == "A"
+    assert model.fallback == "A"
+
+
+def _ixa_corpus(pairs):
+    tokens = tuple(LabeledToken(form, form, SesLabel(Scheme.IXAPIPES, text)) for form, text in pairs)
+    return LabeledCorpus(Scheme.IXAPIPES, (tokens,))
+
+
+@pytest.mark.parametrize(
+    "pairs", list(permutations([("Cats", "A"), ("cats", "B"), ("CATS", "A")]))
+)
+def test_case_variants_merge_into_a_win(pairs):
+    assert train_baseline(_ixa_corpus(pairs)).per_form == {"cats": "A"}
+
+
+@pytest.mark.parametrize("pairs", list(permutations([("Cats", "B"), ("cats", "A")])))
+def test_case_variants_merge_into_a_tie(pairs):
+    model = train_baseline(_ixa_corpus(pairs))
+    assert model.per_form == {"cats": "A"}
+    assert model.fallback == "A"
+
+
+def test_fallback_tie_breaks_lexicographically():
+    # B and A each label two forms, C one; every form has one label
+    model = train_baseline(_ixa_corpus([("x", "B"), ("y", "C"), ("z", "A"), ("w", "B"), ("v", "A")]))
+    assert model.per_form == {"x": "B", "y": "C", "z": "A", "w": "B", "v": "A"}
     assert model.fallback == "A"
 
 

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from conftest import COMPARISON_CONLLU, COMPARISON_LABELS
+from lemscript import corpus_io
 from lemscript.cli import main
 from synth import make_stems, synthetic_corpus
 
@@ -381,3 +382,35 @@ def test_main_restores_the_callers_collector_state(tmp_path, comparison_file, ca
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+# --- one scheme alive at a time -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "train.conllu", "test.conllu", "--out", "report.json"],
+        ["stats", "train.conllu"],
+        ["encode", "train.conllu", "labeled.tsv", "--scheme", "all"],
+    ],
+    ids=["compare", "stats", "encode"],
+)
+def test_each_scheme_labels_with_no_earlier_scheme_alive(tmp_path, monkeypatch, capsys, argv):
+    stems = make_stems(5, 3000, 3, 9)
+    train = synthetic_corpus(2_000, seed=1, stems=stems)
+    test = synthetic_corpus(1_000, seed=2, stems=stems)
+    (tmp_path / "train.conllu").write_text(conllu_text(train), encoding="utf-8")
+    (tmp_path / "test.conllu").write_text(conllu_text(test), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    live = []
+    label_corpus = corpus_io.label_corpus
+
+    def counting(corpus, scheme):
+        live.append(sum(type(o) is corpus_io.LabeledToken for o in gc.get_objects()))
+        return label_corpus(corpus, scheme)
+
+    monkeypatch.setattr(corpus_io, "label_corpus", counting)
+    assert main(argv) == 0
+    assert len(live) == 3
+    assert live[1] == live[0] and live[2] == live[0], live

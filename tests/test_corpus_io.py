@@ -5,8 +5,10 @@ import io
 import pytest
 
 from conftest import COMPARISON_CONLLU, COMPARISON_LABELS, COMPARISON_PAIRS, corpus_of
+from lemscript import schemes
 from lemscript.corpus_io import (
     LabeledCorpus,
+    LabeledToken,
     adjust_propn_lemmas,
     label_corpus,
     parse_conllu,
@@ -147,6 +149,27 @@ def test_label_corpus_shares_one_token_per_pair():
     labeled, _ = label_corpus(corpus_of([("cats", "cat"), ("dogs", "dog")] * 3, 2), Scheme.UDPIPE)
     first, *rest = labeled.sentences
     assert all(row[0] is first[0] and row[1] is first[1] for row in rest)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_label_corpus_shares_one_label_per_text(scheme):
+    corpus = synthetic_corpus(600, seed=5, stems=make_stems(3, 300, 3, 9))
+    labeled, failures = label_corpus(corpus, scheme)
+    assert failures == []
+    tokens = [tok for sentence in labeled.sentences for tok in sentence]
+    labels = {tok.label.text: tok.label for tok in tokens}
+    assert all(tok.label is labels[tok.label.text] for tok in tokens)
+    # distinct pairs do share label texts here
+    assert len(labels) < len({(tok.form, tok.gold_lemma) for tok in tokens})
+    # each row equals, by value, the pair's own encode
+    assert labeled.sentences == tuple(
+        tuple(
+            LabeledToken(t.form, t.lemma, schemes.encode(scheme, t.form, t.lemma))
+            for t in s.tokens
+            if t.lemma is not None
+        )
+        for s in corpus.sentences
+    )
 
 
 def _two_calls(train, test, scheme):
