@@ -50,8 +50,8 @@ def test_tie_breaks_lexicographically():
 
 
 def _ixa_corpus(pairs):
-    tokens = tuple(LabeledToken(form, form, SesLabel(Scheme.IXAPIPES, text)) for form, text in pairs)
-    return LabeledCorpus(Scheme.IXAPIPES, (tokens,))
+    tokens = (LabeledToken(form, form, SesLabel(Scheme.IXAPIPES, text)) for form, text in pairs)
+    return LabeledCorpus(Scheme.IXAPIPES, (tuple(tokens),))
 
 
 @pytest.mark.parametrize(
@@ -70,8 +70,9 @@ def test_case_variants_merge_into_a_tie(pairs):
 
 def test_fallback_tie_breaks_lexicographically():
     # B and A each label two forms, C one; every form has one label
-    model = train_baseline(_ixa_corpus([("x", "B"), ("y", "C"), ("z", "A"), ("w", "B"), ("v", "A")]))
-    assert model.per_form == {"x": "B", "y": "C", "z": "A", "w": "B", "v": "A"}
+    pairs = [("x", "B"), ("y", "C"), ("z", "A"), ("w", "B"), ("v", "A")]
+    model = train_baseline(_ixa_corpus(pairs))
+    assert model.per_form == dict(pairs)
     assert model.fallback == "A"
 
 
