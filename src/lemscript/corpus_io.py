@@ -106,8 +106,8 @@ def _token_index(token_id: str, lineno: int) -> int:
         raise FormatError(lineno, f"token id of {len(token_id)} digits") from None
 
 
-def read_conllu(path: str, source_name: str | None = None) -> Corpus:
-    return read_file(path, parse_conllu, source_name if source_name is not None else path)
+def read_conllu(path: str) -> Corpus:
+    return read_file(path, parse_conllu, path)
 
 
 def read_file(path: str, parse: Callable[..., T], *args: object) -> T:

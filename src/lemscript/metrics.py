@@ -164,11 +164,8 @@ def paired_sentence_outcomes(
         raise StructureMismatch(
             f"sentence counts differ: gold {len(gold)}, a {len(pred_a)}, b {len(pred_b)}"
         )
-    flags_a = _sentence_hits(gold, pred_a)
-    flags_b = _sentence_hits(gold, pred_b)
-    b = sum(1 for fa, fb in zip(flags_a, flags_b) if fa and not fb)
-    c = sum(1 for fa, fb in zip(flags_a, flags_b) if fb and not fa)
-    return b, c
+    all_right = [True] * len(gold)
+    return paired_outcomes(all_right, _sentence_hits(gold, pred_a), _sentence_hits(gold, pred_b))
 
 
 def _sentence_hits(gold: Sequence[Sequence[str]], pred: Sequence[Sequence[str]]) -> list[bool]:

@@ -14,15 +14,15 @@ reversed character order so sequential application lands them correctly.
 "O" means the word is already its lemma; a leading "1" means the first
 character of the surface word is lowercased before the edits run.
 
-decode keeps the parses of the 128 most recently used label texts, so a
-repeated label only pays for its apply step.
+parse_label is the memoized parse that decode applies: it keeps the plans
+of the 128 most recently used label texts, so a repeated label only pays
+for its apply step. A plan is (lower_first, ((kind, index, chars), ...)).
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import NamedTuple
 
 from ..alignment import DELETE, INSERT, MATCH, REPLACE, levenshtein_align
 from ..casing import CaseClass, char_class, shift_lower
@@ -31,12 +31,6 @@ from ..model import Scheme, SesLabel
 
 IDENTITY = "O"
 LOWER_FLAG = "1"
-
-
-class IxaToken(NamedTuple):
-    kind: str   # "R", "D" or "I"
-    index: int  # 0-based position in the reversed wordform
-    chars: str  # old+new for R, the single affected character for D/I
 
 
 def encode(form: str, lemma: str) -> SesLabel:
@@ -81,7 +75,7 @@ def encode(form: str, lemma: str) -> SesLabel:
 def decode(form: str, label: SesLabel) -> str:
     if label.scheme is not Scheme.IXAPIPES:
         raise SchemeMismatch(f"expected ixapipes label, got {label.scheme.value}")
-    lower_first, tokens = _plan(label.text)
+    lower_first, tokens = parse_label(label.text)
     buffer = list(form)
     if lower_first and buffer:
         buffer[0] = shift_lower(buffer[0])
@@ -104,8 +98,10 @@ def decode(form: str, label: SesLabel) -> str:
     return "".join(buffer)
 
 
-def parse_label(text: str) -> tuple[bool, list[IxaToken]]:
-    """Parse into (lower_first, tokens in label order).
+@lru_cache(maxsize=128)
+def parse_label(text: str) -> tuple[bool, tuple[tuple[str, int, str], ...]]:
+    """Parse into (lower_first, tokens in label order); a token is
+    (kind, index, chars), with chars old+new for R and one character else.
 
     Digit operand characters make the grammar locally ambiguous (in
     "I15" the index may be 15 or 1); the parser resolves this by trying
@@ -123,13 +119,6 @@ def parse_label(text: str) -> tuple[bool, list[IxaToken]]:
     way only, and one linear pass reads that split and checks its order.
     Any label that pass does not accept goes to the search.
     """
-    lower_first, tokens = _plan.__wrapped__(text)
-    return lower_first, [IxaToken._make(token) for token in tokens]
-
-
-@lru_cache(maxsize=128)
-def _plan(text: str) -> tuple[bool, tuple[tuple[str, int, str], ...]]:
-    """parse_label's parse, with each token a plain (kind, index, chars)."""
     return _scan(text) or _search(text)
 
 

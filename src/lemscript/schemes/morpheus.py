@@ -13,8 +13,9 @@ payload, a preceding delete becomes a plain replace, and a run at the
 very start is prepended into the first token. A replace that merely
 lowercases its character is re-labelled "l".
 
-decode keeps the parses of the 128 most recently used label texts, so a
-repeated label only pays for its apply step.
+parse_label is the memoized parse that decode applies: it keeps the plans
+of the 128 most recently used label texts, so a repeated label only pays
+for its apply step. A plan is ((kind, payload), ...), one pair per token.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def encode(form: str, lemma: str) -> SesLabel:
 def decode(form: str, label: SesLabel) -> str:
     if label.scheme is not Scheme.MORPHEUS:
         raise SchemeMismatch(f"expected morpheus label, got {label.scheme.value}")
-    tokens = _plan(label.text)
+    tokens = parse_label(label.text)
     if len(tokens) != len(form):
         raise ArityMismatch(
             f"label has {len(tokens)} tokens for a {len(form)}-character wordform"
@@ -96,16 +97,12 @@ def decode(form: str, label: SesLabel) -> str:
     return "".join(out)
 
 
-def parse_label(text: str) -> list[tuple[str, str]]:
-    """Split a label into (kind, payload) pairs; payload for replaces only."""
-    return list(_plan.__wrapped__(text))
-
-
 _PLAIN_TOKENS = {kind: (kind, "") for kind in (SAME, DEL, LOWER)}
 
 
 @lru_cache(maxsize=128)
-def _plan(text: str) -> tuple[tuple[str, str], ...]:
+def parse_label(text: str) -> tuple[tuple[str, str], ...]:
+    """Split a label into (kind, payload) pairs; payload for replaces only."""
     if not text:
         raise ParseError("empty morpheus label")
     tokens: list[tuple[str, str]] = []

@@ -16,13 +16,14 @@ minimize the serialized script length (insert costs 2 characters, copy
 and delete cost 1). Casing segments index positions in the lemma; each
 segment re-cases characters from its start up to the next segment.
 
-decode keeps the parses of the 128 most recently used label texts, so a
-repeated label only pays for its apply step.
+parse_label is the memoized parse that decode applies: it keeps the plans
+of the 128 most recently used label texts, so a repeated label only pays
+for its apply step. A plan is (absolute, segments, prefix ops, suffix ops,
+front, back), with the ops as serialized strings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from ..alignment import DELETE, INSERT, MATCH, longest_common_substring, min_script_align
@@ -39,23 +40,8 @@ INSERT_MARK = "+"
 ABSOLUTE_MARK = "a"
 RULE_MARK = ";d"
 
-# parsed edit ops: (kind, payload); payload used by "insert" only
-COPY = "copy"
-DEL = "del"
-INS = "ins"
-_PLAIN_OPS = {COPY_MARK: (COPY, ""), DELETE_MARK: (DEL, "")}
 _DIRECTIONS = {UP_MARK: CaseClass.UPPER, DOWN_MARK: CaseClass.LOWER}
 _LOWER_ONLY = ((CaseClass.LOWER, 0),)
-
-
-@dataclass(frozen=True, slots=True)
-class UdpipeLabel:
-    """Parsed form of a udpipe label: absolute lemma or casing + edits."""
-
-    absolute: str | None = None
-    segments: tuple[tuple[CaseClass, int], ...] = ()
-    prefix_ops: tuple[tuple[str, str], ...] = ()
-    suffix_ops: tuple[tuple[str, str], ...] = ()
 
 
 def encode(form: str, lemma: str) -> SesLabel:
@@ -82,7 +68,7 @@ def encode(form: str, lemma: str) -> SesLabel:
 def decode(form: str, label: SesLabel) -> str:
     if label.scheme is not Scheme.UDPIPE:
         raise SchemeMismatch(f"expected udpipe label, got {label.scheme.value}")
-    absolute, segments, prefix_ops, suffix_ops, front, back = _plan(label.text)
+    absolute, segments, prefix_ops, suffix_ops, front, back = parse_label(label.text)
     if absolute is not None:
         return absolute
     if front + back > len(form):
@@ -96,13 +82,8 @@ def decode(form: str, label: SesLabel) -> str:
     return _apply_casing(head + lowered[front:back_start] + tail, segments)
 
 
-def parse_label(text: str) -> UdpipeLabel:
-    absolute, segments, prefix_ops, suffix_ops, _, _ = _plan.__wrapped__(text)
-    return UdpipeLabel(absolute, segments, _parsed_ops(prefix_ops), _parsed_ops(suffix_ops))
-
-
 @lru_cache(maxsize=128)
-def _plan(text: str) -> tuple:
+def parse_label(text: str) -> tuple:
     """Parse a label into (absolute, segments, prefix ops, suffix ops,
     characters the prefix consumes, characters the suffix consumes).
 
@@ -219,11 +200,6 @@ def _replay(ops: str, source: str) -> str:
         else:  # an insert, followed by its character
             out.append(next(chars))
     return "".join(out)
-
-
-def _parsed_ops(ops: str) -> tuple[tuple[str, str], ...]:
-    chars = iter(ops)  # an insert takes the next character as its payload
-    return tuple((INS, next(chars)) if c == INSERT_MARK else _PLAIN_OPS[c] for c in chars)
 
 
 def _apply_casing(text: str, segments: tuple[tuple[CaseClass, int], ...]) -> str:

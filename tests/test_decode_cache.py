@@ -1,17 +1,21 @@
 """Decoders keep parsed labels in a bounded cache; caching changes no outcome.
 
-The oracle decodes from parse_label's output with its own apply step, so
-it never touches a cache. The label pool holds more distinct texts per
-scheme than the cache keeps, so entries are evicted and parsed again.
+The oracle decodes from the uncached parse_label.__wrapped__ with its own
+apply step, so it never touches a cache; it counts the characters each
+udpipe script consumes from the op strings, not from the plan. The label
+pool holds more distinct texts per scheme than the cache keeps, so
+entries are evicted and parsed again.
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import COMPARISON_PAIRS
 from lemscript.casing import CaseClass, fold_lower, fold_upper, shift_lower
 from lemscript.errors import (
     ArityMismatch,
@@ -28,6 +32,13 @@ CACHE_SIZE = 128
 MODULES = {Scheme.UDPIPE: udpipe, Scheme.IXAPIPES: ixapipes, Scheme.MORPHEUS: morpheus}
 
 
+def _ops(serialized):
+    # (kind, payload) per udpipe op; an insert takes the next character
+    kinds = {"→": "copy", "-": "del"}
+    chars = iter(serialized)
+    return [("ins", next(chars)) if c == "+" else (kinds[c], "") for c in chars]
+
+
 def _replay(ops, source):
     out, pos = [], 0
     for kind, payload in ops:
@@ -41,48 +52,48 @@ def _replay(ops, source):
 
 
 def reference_udpipe(form, text):
-    parsed = udpipe.parse_label(text)
-    if parsed.absolute is not None:
-        return parsed.absolute
-    front = sum(kind != "ins" for kind, _ in parsed.prefix_ops)
-    back = sum(kind != "ins" for kind, _ in parsed.suffix_ops)
+    absolute, segments, prefix_ops, suffix_ops, _, _ = udpipe.parse_label.__wrapped__(text)
+    if absolute is not None:
+        return absolute
+    prefix_ops, suffix_ops = _ops(prefix_ops), _ops(suffix_ops)
+    front = sum(kind != "ins" for kind, _ in prefix_ops)
+    back = sum(kind != "ins" for kind, _ in suffix_ops)
     if front + back > len(form):
         raise LengthMismatch("label consumes more than the wordform")
     lowered = fold_lower(form)
     word = (
-        _replay(parsed.prefix_ops, lowered[:front])
+        _replay(prefix_ops, lowered[:front])
         + lowered[front : len(form) - back]
-        + _replay(parsed.suffix_ops, lowered[len(form) - back :])
+        + _replay(suffix_ops, lowered[len(form) - back :])
     )
-    starts = [start for _, start in parsed.segments[1:]] + [len(word)]
+    starts = [start for _, start in segments[1:]] + [len(word)]
     return "".join(
         (fold_upper if direction is CaseClass.UPPER else fold_lower)(word[start:end])
-        for (direction, start), end in zip(parsed.segments, starts)
+        for (direction, start), end in zip(segments, starts)
     )
 
 
 def reference_ixapipes(form, text):
-    lower_first, tokens = ixapipes.parse_label(text)
+    lower_first, tokens = ixapipes.parse_label.__wrapped__(text)
     word = form[::-1]
     if lower_first and word:
         word = word[:-1] + shift_lower(word[-1])
-    for token in tokens:
-        i = token.index
-        if token.kind == "I":
+    for kind, i, chars in tokens:
+        if kind == "I":
             if i > len(word):
                 raise IndexOutOfRange("insert past the word")
-            word = word[:i] + token.chars + word[i:]
+            word = word[:i] + chars + word[i:]
             continue
         if i >= len(word):
             raise IndexOutOfRange("edit past the word")
-        if word[i] != token.chars[0]:
+        if word[i] != chars[0]:
             raise CharMismatch("wrong character")
-        word = word[:i] + token.chars[1:] + word[i + 1 :]
+        word = word[:i] + chars[1:] + word[i + 1 :]
     return word[::-1]
 
 
 def reference_morpheus(form, text):
-    tokens = morpheus.parse_label(text)
+    tokens = morpheus.parse_label.__wrapped__(text)
     if len(tokens) != len(form):
         raise ArityMismatch("one token per character")
     word = ""
@@ -145,7 +156,36 @@ def test_cached_decode_matches_parse_label_and_an_uncached_apply(seed):
         cached = outcome(decode, form, SesLabel(scheme, text))
         assert cached == outcome(REFERENCES[scheme], form, text), (scheme, form, text)
     for module in MODULES.values():
-        assert module._plan.cache_info().currsize <= CACHE_SIZE
+        assert module.parse_label.cache_info().currsize <= CACHE_SIZE
+
+
+# encoder pairs that reach every plan part: an absolute lemma, casing in
+# three segments, the lower flag, the identity, digit operands and inserts
+PLAN_PAIRS = COMPARISON_PAIRS + [
+    ("xyz", "Abc"),
+    ("iPhones", "iPhone"),
+    ("Dogs", "dog"),
+    ("x12", "x"),
+    ("ab", "xyab"),
+]
+
+
+def _immutable(value):
+    if type(value) is tuple:
+        return all(_immutable(item) for item in value)
+    return value is None or type(value) in (str, int, bool, CaseClass)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_parse_label_returns_one_immutable_plan(scheme):
+    # every later decode of the text shares the cached plan, so no caller
+    # may be able to change it
+    module = MODULES[scheme]
+    for form, lemma in PLAN_PAIRS:
+        text = module.encode(form, lemma).text
+        plan = module.parse_label(text)
+        assert _immutable(plan), (text, plan)
+        assert module.parse_label(text) is plan, text
 
 
 def test_malformed_labels_raise_on_every_call():

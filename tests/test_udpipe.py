@@ -125,21 +125,19 @@ def test_oversized_casing_position_is_a_parse_error():
 
 def test_insert_payload_may_be_any_character():
     # a separator character is legal as an insert payload
-    parsed = udpipe.parse_label("↓0;d+¦¦-")
-    assert parsed.prefix_ops == (("ins", "¦"),)
-    assert parsed.suffix_ops == (("del", ""),)
+    # plan[2:] is (prefix ops, suffix ops, characters each consumes)
+    assert udpipe.parse_label("↓0;d+¦¦-")[2:] == ("+¦", "-", 0, 1)
 
 
 @pytest.mark.parametrize(
-    "script,prefix,suffix",
+    "script,plan",
     [
-        ("→+-¦+¦", (("copy", ""), ("ins", "-")), (("ins", "¦"),)),
-        ("¦++→", (), (("ins", "+"), ("copy", ""))),
+        ("→+-¦+¦", ("→+-", "+¦", 1, 0)),
+        ("¦++→", ("", "++→", 0, 1)),
     ],
 )
-def test_op_characters_as_insert_payloads(script, prefix, suffix):
-    parsed = udpipe.parse_label("↓0;d" + script)
-    assert (parsed.prefix_ops, parsed.suffix_ops) == (prefix, suffix)
+def test_op_characters_as_insert_payloads(script, plan):
+    assert udpipe.parse_label("↓0;d" + script)[2:] == plan
 
 
 @pytest.mark.parametrize(
