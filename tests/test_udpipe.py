@@ -130,14 +130,16 @@ def test_insert_payload_may_be_any_character():
 
 
 @pytest.mark.parametrize(
-    "script,plan",
+    "script,prefix,suffix",
     [
-        ("→+-¦+¦", ("→+-", "+¦", 1, 0)),
-        ("¦++→", ("", "++→", 0, 1)),
+        ("→+-¦+¦", ("→+-", 1), ("+¦", 0)),
+        ("¦++→", ("", 0), ("++→", 1)),
     ],
 )
-def test_op_characters_as_insert_payloads(script, plan):
-    assert udpipe.parse_label("↓0;d" + script)[2:] == plan
+def test_op_characters_as_insert_payloads(script, prefix, suffix):
+    # each side as (its ops, the characters they consume)
+    _, _, prefix_ops, suffix_ops, front, back = udpipe.parse_label("↓0;d" + script)
+    assert ((prefix_ops, front), (suffix_ops, back)) == (prefix, suffix)
 
 
 @pytest.mark.parametrize(
