@@ -12,11 +12,11 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Iterable, Mapping
 
 from . import schemes
 from .corpus_io import LabeledCorpus
-from .errors import EmptyCorpus, FormatError, LabelDecodeError
+from .errors import EmptyCorpus, FormatError
 from .model import Corpus, Scheme, SesLabel
 
 
@@ -35,15 +35,20 @@ class PredictionStats:
 
 
 def train_baseline(labeled: LabeledCorpus) -> BaselineModel:
-    """Ties break toward the lexicographically smallest label text.
-
-    Tokens are counted per distinct (lowercased form, label text); one
-    walk over those counts keeps each form's best text and its count,
-    and sums the overall label counts.
-    """
+    """Ties break toward the lexicographically smallest label text (see train_counts)."""
     pairs = Counter(
         (tok.form.lower(), tok.label.text) for sentence in labeled.sentences for tok in sentence
     )
+    return train_counts(labeled.scheme, pairs)
+
+
+def train_counts(scheme: Scheme, pairs: Mapping[tuple[str, str], int]) -> BaselineModel:
+    """The model from token counts per (lowercased form, label text): the
+    count core of train_baseline and compare.
+
+    One walk over the counts keeps each form's best text and its count,
+    and sums the overall label counts.
+    """
     per_form: dict[str, str] = {}
     top: dict[str, int] = {}  # the count of each form's best text so far
     overall: dict[str, int] = {}
@@ -55,7 +60,7 @@ def train_baseline(labeled: LabeledCorpus) -> BaselineModel:
             top[form] = n
     if not overall:
         raise EmptyCorpus("cannot train a baseline on zero labeled tokens")
-    return BaselineModel(labeled.scheme, per_form, _majority(overall))
+    return BaselineModel(scheme, per_form, _majority(overall))
 
 
 def predict_lemma(model: BaselineModel, form: str) -> tuple[str, bool]:
@@ -93,6 +98,12 @@ def predict_corpus(
             row.append(lemma)
         out.append(row)
     return out, stats
+
+
+def predict_forms(model: BaselineModel, forms: Iterable[str]) -> dict[str, tuple[str, bool, bool]]:
+    """(lemma, used_fallback, decode_failed) for each distinct form, each predicted once."""
+    labels: dict[str, SesLabel] = {}
+    return {form: _predict(model, form, labels) for form in dict.fromkeys(forms)}
 
 
 def save_model(model: BaselineModel, fp: IO[str]) -> None:
@@ -142,7 +153,5 @@ def _predict(
     label = labels.get(text)
     if label is None:
         label = labels[text] = SesLabel(model.scheme, text)
-    try:
-        return schemes.decode(form, label), used_fallback, False
-    except LabelDecodeError:
-        return form, used_fallback, True
+    lemma, failed = schemes.decode_or_form(form, label)
+    return lemma, used_fallback, failed

@@ -3,12 +3,16 @@
 Subcommands: encode, decode, stats, eval, mcnemar, compare, train,
 predict. Exit codes: 0 success, 1 contract failure (encode failures
 present), 2 usage, I/O or input error; input errors name the file and
-line. All reports are deterministic given identical inputs and flags;
+line, and a compare side with nothing to train on or score names its
+file. All reports are deterministic given identical inputs and flags;
 JSON output uses sorted keys. Commands that label under several schemes
-keep one scheme's labels, model and sets alive at a time. main() pauses
-the cyclic garbage collector while its subcommand runs, since a run
-builds no per-token reference cycles, and then restores the caller's
-collector state; library functions never touch it.
+keep one scheme's labels, model and sets alive at a time. compare holds
+no corpus: it reads each file once into per-sentence ids of its distinct
+(form, lemma) pairs, and each scheme's work walks those pairs with their
+train and test counts; only the sentence scores walk the test ids again.
+main() pauses the cyclic garbage collector while its subcommand runs,
+since a run builds no per-token reference cycles, and then restores the
+caller's collector state; library functions never touch it.
 """
 
 from __future__ import annotations
@@ -19,12 +23,14 @@ import gc
 import itertools
 import json
 import sys
+from array import array
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import baseline, corpus_io, metrics, schemes
-from .errors import LabelDecodeError, LemscriptError
+from .errors import EmptyCorpus, EmptyEval, LemscriptError
 from .model import Corpus, Scheme
 
 ALL_SCHEMES = tuple(Scheme)
@@ -151,17 +157,12 @@ def _encode_to(corpus: Corpus, scheme: Scheme, path: str) -> list[dict[str, obje
 
 def cmd_decode(args: argparse.Namespace) -> int:
     labeled = corpus_io.read_file(args.input, corpus_io.parse_labeled, Scheme(args.scheme))
-    warnings = 0
-    lemmas: list[list[str]] = []
-    for sentence in labeled.sentences:
-        row: list[str] = []
-        for tok in sentence:
-            try:
-                row.append(schemes.decode(tok.form, tok.label))
-            except LabelDecodeError:
-                row.append(tok.form)
-                warnings += 1
-        lemmas.append(row)
+    decoded = [
+        [schemes.decode_or_form(tok.form, tok.label) for tok in sentence]
+        for sentence in labeled.sentences
+    ]
+    warnings = sum(failed for row in decoded for _, failed in row)
+    lemmas = ([lemma for lemma, _ in row] for row in decoded)
     forms = ([tok.form for tok in sentence] for sentence in labeled.sentences)
     with _open_out(args.output) as out:
         corpus_io.write_lemmas(forms, lemmas, out)
@@ -228,7 +229,10 @@ def cmd_mcnemar(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args.gold, args.adjust_propn)
     pred_a = corpus_io.read_file(args.pred_a, corpus_io.parse_lemmas)
     pred_b = corpus_io.read_file(args.pred_b, corpus_io.parse_lemmas)
-    result = _paired_test(metrics.gold_lemmas(corpus), pred_a, pred_b, args)
+    gold = metrics.gold_lemmas(corpus)
+    result = _paired_entry(
+        metrics.paired_mcnemar(gold, pred_a, pred_b, args.granularity, args.alpha), args
+    )
     if args.format == "json":
         _write_json(result)
     else:
@@ -242,26 +246,38 @@ def cmd_mcnemar(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    train_corpus = _load_corpus(args.train, args.adjust_propn)
-    test_corpus = _load_corpus(args.test, args.adjust_propn)
-
+    pairs: dict[tuple[str, str], int] = {}  # each distinct lemmatized pair -> its id
     report: dict[str, object] = {"schemes": {}, "mcnemar": {}}
-    for key, corpus in (("train", train_corpus), ("test", test_corpus)):
-        report[key] = {
-            "path": getattr(args, key),
-            "tokens": corpus.token_count,
-            "sentences": corpus.sentence_count,
-        }
-    predictions: dict[str, list[list[str]]] = {}
-    for scheme in ALL_SCHEMES:
-        row, predictions[scheme.value] = _compare_scheme(scheme, train_corpus, test_corpus)
-        report["schemes"][scheme.value] = row
-
-    gold = metrics.gold_lemmas(test_corpus)
-    for first, second in itertools.combinations([s.value for s in ALL_SCHEMES], 2):
-        report["mcnemar"][f"{first}_vs_{second}"] = _paired_test(
-            gold, predictions[first], predictions[second], args
-        )
+    ids = {}
+    for key in ("train", "test"):
+        path = getattr(args, key)
+        ids[key], tokens = corpus_io.read_file(path, _pair_ids, pairs, args.adjust_propn)
+        report[key] = {"path": path, "tokens": tokens, "sentences": len(ids[key])}
+    table = list(pairs)
+    del pairs
+    counts = {}  # each file's token count per pair id
+    for key, rows in ids.items():
+        found = Counter(itertools.chain.from_iterable(rows))
+        counts[key] = array("i", map(found.__getitem__, range(len(table))))
+    test_ids = ids.pop("test")  # only the test sentences are walked again
+    del ids
+    outcomes = {}  # per scheme, which test pairs (by id) and which test sentences are right
+    try:
+        for scheme in ALL_SCHEMES:
+            row, outcomes[scheme.value] = _compare_scheme(scheme, table, counts, test_ids)
+            report["schemes"][scheme.value] = row
+    except EmptyCorpus as exc:
+        raise EmptyCorpus(f"{args.train}: {exc}") from None
+    except EmptyEval as exc:
+        raise EmptyEval(f"{args.test}: {exc}") from None
+    for first, second in itertools.combinations(outcomes, 2):
+        (right_a, hits_a), (right_b, hits_b) = outcomes[first], outcomes[second]
+        if args.granularity == "word":
+            paired = zip(counts["test"], right_a, right_b)
+        else:
+            paired = zip(itertools.repeat(1), hits_a, hits_b)
+        result = metrics.mcnemar(*metrics.paired_counts(paired), args.alpha)
+        report["mcnemar"][f"{first}_vs_{second}"] = _paired_entry(result, args)
     if args.format == "text":
         _write(_compare_text(report), args.out)
     else:
@@ -269,36 +285,65 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compare_scheme(scheme: Scheme, train: Corpus, test: Corpus) -> tuple[dict, list[list[str]]]:
-    """One scheme's report row and test predictions; train and test are labeled in one pass."""
-    labeled, failures = corpus_io.label_corpus(Corpus(train.sentences + test.sentences), scheme)
-    split = len(train.sentences)
-    train_labeled = corpus_io.LabeledCorpus(scheme, labeled.sentences[:split])
-    test_labeled = corpus_io.LabeledCorpus(scheme, labeled.sentences[split:])
-    model = baseline.train_baseline(train_labeled)
-    pred, stats = baseline.predict_corpus(model, test, lemmatized_only=True)
+def _pair_ids(lines: Iterable[str], pairs: dict, adjust_propn: bool) -> tuple[list[array], int]:
+    """Each sentence's lemmatized tokens as ids into pairs, which grows in
+    first-seen order, and the number of tokens read."""
+    rows, tokens = [], 0
+    new = pairs.setdefault
+    for sentence in corpus_io.iter_conllu(lines):
+        if adjust_propn:
+            sentence = corpus_io.adjust_propn_sentence(sentence)
+        tokens += len(sentence.tokens)
+        ids = [new((t.form, t.lemma), len(pairs)) for t in sentence.tokens if t.lemma is not None]
+        rows.append(array("i", ids))
+    return rows, tokens
+
+
+def _compare_scheme(scheme: Scheme, table: list, counts: dict, test_ids: list) -> tuple:
+    """One scheme's report row, and which test pairs and sentences it gets
+    right. Only the sentence hits walk the tokens; the rest walks the
+    distinct pairs with their train and test counts."""
+    n_train, n_test = counts["train"], counts["test"]
+    train, test, failures = [], [], 0  # (LabeledToken, count) of each pair that labeled
+    for tok, a, b in zip(corpus_io.label_pairs(scheme, table), n_train, n_test):
+        if isinstance(tok, str):
+            failures += a + b
+        else:
+            if a:
+                train.append((tok, a))
+            if b:
+                test.append((tok, b))
+    texts: dict[tuple[str, str], int] = {}  # token count per (lowercased form, label text)
+    for tok, n in train:
+        key = tok.form.lower(), tok.label.text
+        texts[key] = texts.get(key, 0) + n
+    model = baseline.train_counts(scheme, texts)
     # only the train forms that labeled successfully count as seen
-    train_forms = {t.form for s in train_labeled.sentences for t in s}
-    scores = metrics.evaluate(test, pred, train_forms)
-    oov = metrics.oov_report(train_labeled, test_labeled)
+    train_forms = {tok.form for tok, _ in train}
+    predicted = baseline.predict_forms(model, (form for (form, _), n in zip(table, n_test) if n))
+    del model  # not needed again: free its dicts before the OOV sets are built
+    right = bytearray(len(table))
+    scored = []
+    fallback_uses = decode_failures = 0
+    for pid, n in enumerate(n_test):
+        if n:
+            form, lemma = table[pid]
+            pred, used_fallback, failed = predicted[form]
+            right[pid] = ok = pred == lemma
+            scored.append((n, ok, form in train_forms))
+            fallback_uses += n * used_fallback
+            decode_failures += n * failed
+    hits = [all(map(right.__getitem__, ids)) for ids in test_ids]
+    scores = asdict(metrics.score_counts(scored, hits, True))
+    del scores["token_total"], scores["sentence_total"]
+    oov = asdict(metrics.oov_counts((tok for tok, _ in train), test))
     return {
-        "unique_labels": metrics.unique_labels(train_labeled).unique_count,
-        "encode_failures": len(failures),
-        "baseline": {
-            "word_accuracy": scores.word_accuracy,
-            "sentence_accuracy": scores.sentence_accuracy,
-            "inv_accuracy": scores.inv_accuracy,
-            "oov_accuracy": scores.oov_accuracy,
-            "fallback_uses": stats.fallback_uses,
-            "decode_failures": stats.decode_failures,
-        },
+        "unique_labels": len({tok.label.text for tok, _ in train}),
+        "encode_failures": failures,
+        "baseline": {**scores, "fallback_uses": fallback_uses, "decode_failures": decode_failures},
         # the OovReport rates and flag, named without their "oov_" prefix
-        "oov": {
-            name.removeprefix("oov_"): value
-            for name, value in asdict(oov).items()
-            if name != "token_total"
-        },
-    }, pred
+        "oov": {name.removeprefix("oov_"): v for name, v in oov.items() if name != "token_total"},
+    }, (right, hits)
 
 
 def _compare_text(report: dict) -> str:
@@ -385,14 +430,8 @@ def _load_corpus(path: str, adjust_propn: bool) -> Corpus:
     return corpus_io.adjust_propn_lemmas(corpus) if adjust_propn else corpus
 
 
-def _paired_test(
-    gold: list[list[str]],
-    pred_a: list[list[str]],
-    pred_b: list[list[str]],
-    args: argparse.Namespace,
-) -> dict[str, object]:
-    """One McNemar entry of a report, at --granularity and --alpha."""
-    result = metrics.paired_mcnemar(gold, pred_a, pred_b, args.granularity, args.alpha)
+def _paired_entry(result: metrics.McNemarResult, args: argparse.Namespace) -> dict[str, object]:
+    """One McNemar entry of a report, at --granularity."""
     return {"granularity": args.granularity, **asdict(result)}
 
 

@@ -50,25 +50,23 @@ class LabelFailure:
 
 
 def parse_conllu(lines: Iterable[str], source_name: str = "") -> Corpus:
-    """Read CoNLL-U rows; every repeat of a FORM, LEMMA or UPOS value
-    shares the string object of its first occurrence."""
+    """Read a whole CoNLL-U document (see iter_conllu)."""
+    return Corpus(tuple(iter_conllu(lines)), source_name)
+
+
+def iter_conllu(lines: Iterable[str]) -> Iterator[Sentence]:
+    """Read CoNLL-U rows sentence by sentence; every repeat of a FORM, LEMMA
+    or UPOS value shares the string object of its first occurrence."""
     share = {}.setdefault
     indices: dict[str, int] = {}  # each distinct ID column, parsed once
-    sentences: list[Sentence] = []
     tokens: list[Token] = []
     comments: list[str] = []
-
-    def flush() -> None:
-        nonlocal tokens, comments
-        if tokens:
-            sentences.append(Sentence(tuple(tokens), tuple(comments)))
-        tokens = []
-        comments = []
-
     for lineno, raw in enumerate(lines, 1):
         line = raw.rstrip("\r\n")
         if not line.strip():
-            flush()
+            if tokens:
+                yield Sentence(tuple(tokens), tuple(comments))
+            tokens, comments = [], []
             continue
         if line.startswith("#"):
             comments.append(line)
@@ -87,8 +85,8 @@ def parse_conllu(lines: Iterable[str], source_name: str = "") -> Corpus:
         lemma = None if lemma == "_" else share(lemma, lemma)
         upos = "" if upos == "_" else share(upos, upos)
         tokens.append(Token(share(form, form), lemma, upos, index))
-    flush()
-    return Corpus(tuple(sentences), source_name)
+    if tokens:
+        yield Sentence(tuple(tokens), tuple(comments))
 
 
 _TOKEN_ID = re.compile("[0-9]+(?:[-.][0-9]+)?")
@@ -158,19 +156,17 @@ def write_conllu(corpus: Corpus, fp: IO[str]) -> None:
 
 def adjust_propn_lemmas(corpus: Corpus) -> Corpus:
     """Uppercase the first character of lowercase-initial PROPN lemmas."""
-    out = []
-    for sentence in corpus.sentences:
-        toks = []
-        for tok in sentence.tokens:
-            if (
-                tok.upos == "PROPN"
-                and tok.lemma
-                and char_class(tok.lemma[0]) is CaseClass.LOWER
-            ):
-                tok = replace(tok, lemma=shift_upper(tok.lemma[0]) + tok.lemma[1:])
-            toks.append(tok)
-        out.append(Sentence(tuple(toks), sentence.comments))
-    return Corpus(tuple(out), corpus.source_name)
+    return Corpus(tuple(map(adjust_propn_sentence, corpus.sentences)), corpus.source_name)
+
+
+def adjust_propn_sentence(sentence: Sentence) -> Sentence:
+    """adjust_propn_lemmas for one sentence."""
+    toks = []
+    for tok in sentence.tokens:
+        if tok.upos == "PROPN" and tok.lemma and char_class(tok.lemma[0]) is CaseClass.LOWER:
+            tok = replace(tok, lemma=shift_upper(tok.lemma[0]) + tok.lemma[1:])
+        toks.append(tok)
+    return Sentence(tuple(toks), sentence.comments)
 
 
 def label_corpus(
@@ -180,12 +176,10 @@ def label_corpus(
 
     Tokens whose label does not reproduce the gold lemma are recorded as
     failures instead of being included. Tokens without a lemma are
-    skipped. Each distinct (form, lemma) pair is encoded and verified
-    once; the finished LabeledToken, or the failure reason, is cached
-    and every repeat reuses it, and all labels of one text share one
-    SesLabel. The output has one row per input sentence, so callers
-    with several corpora (compare's train and test) label their
-    concatenation in one pass and split the rows.
+    skipped. Each distinct (form, lemma) pair goes through _label_pair
+    once, as in label_pairs; the finished LabeledToken, or the failure
+    reason, is cached and every repeat reuses it, and all labels of one
+    text share one SesLabel. The output has one row per input sentence.
     """
     scheme = Scheme(scheme)
     cache: dict[tuple[str, str], LabeledToken | str] = {}
@@ -207,6 +201,13 @@ def label_corpus(
                 row.append(hit)
         out.append(tuple(row))
     return LabeledCorpus(scheme, tuple(out)), failures
+
+
+def label_pairs(scheme: Scheme, pairs: Iterable[tuple[str, str]]) -> list[LabeledToken | str]:
+    """The verified LabeledToken of each distinct (form, lemma) pair, or why
+    it fails: compare's labeling, through label_corpus's _label_pair."""
+    labels: dict[str, SesLabel] = {}
+    return [_label_pair(scheme, form, lemma, labels) for form, lemma in pairs]
 
 
 def _label_pair(scheme: Scheme, form: str, lemma: str, labels: dict) -> LabeledToken | str:

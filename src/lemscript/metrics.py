@@ -11,11 +11,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import repeat
+from operator import eq
+from typing import Iterable, Iterator, Sequence
 
-from .corpus_io import LabeledCorpus
+from .corpus_io import LabeledCorpus, LabeledToken
 from .errors import EmptyEval, LengthMismatch, SchemeMismatch, StructureMismatch
 from .model import Corpus, Scheme
+
+Row = tuple[int, bool, bool]  # a count of positions, and two facts true of each
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,19 +70,13 @@ class OovReport:
 def word_accuracy(gold: Sequence[str], pred: Sequence[str]) -> float:
     if len(gold) != len(pred):
         raise LengthMismatch(f"{len(gold)} gold lemmas vs {len(pred)} predictions")
-    if not gold:
-        raise EmptyEval("word accuracy over zero tokens is undefined")
-    hits = sum(1 for g, p in zip(gold, pred) if g == p)
-    return hits / len(gold)
+    return _tally(zip(repeat(1), map(eq, gold, pred), repeat(False)))[0]
 
 
 def sentence_accuracy(
     gold: Sequence[Sequence[str]], pred: Sequence[Sequence[str]]
 ) -> float:
-    hits = _sentence_hits(gold, pred)
-    if not hits:
-        raise EmptyEval("sentence accuracy over zero sentences is undefined")
-    return sum(hits) / len(hits)
+    return _sentence_rate(list(_sentence_hits(gold, pred)))
 
 
 def gold_lemmas(corpus: Corpus) -> list[list[str]]:
@@ -97,13 +95,21 @@ def evaluate(
     lemmas = gold_lemmas(gold)
     flat_gold = _flatten(lemmas)
     flat_pred = _flatten(pred)
-    word = word_accuracy(flat_gold, flat_pred)
-    sentence = sentence_accuracy(lemmas, pred)
-    inv = oov = None
-    if train_forms is not None:
-        forms = [t.form for s in gold.sentences for t in s.tokens if t.lemma is not None]
-        inv, oov = inv_oov_accuracy(train_forms, forms, flat_gold, flat_pred)
-    return EvalReport(word, sentence, len(flat_gold), len(lemmas), inv, oov)
+    if len(flat_gold) != len(flat_pred):
+        raise LengthMismatch(f"{len(flat_gold)} gold lemmas vs {len(flat_pred)} predictions")
+    seen = train_forms or ()
+    forms = (t.form for s in gold.sentences for t in s.tokens if t.lemma is not None)
+    rows = zip(repeat(1), map(eq, flat_gold, flat_pred), (form in seen for form in forms))
+    return score_counts(rows, _sentence_hits(lemmas, pred), train_forms is not None)
+
+
+def score_counts(rows: Iterable[Row], sentence_hits: Iterable[bool], split: bool) -> EvalReport:
+    """The count core of evaluate and compare: each (count, correct, seen in
+    training) row stands for count tokens, and each sentence hit says whether
+    a sentence is fully right. With split, the INV/OOV accuracies are set."""
+    word, inv, oov, total = _tally(rows)
+    hits = list(sentence_hits)
+    return EvalReport(word, _sentence_rate(hits), total, len(hits), *((inv, oov) if split else ()))
 
 
 def mcnemar(b: int, c: int, alpha: float = 0.05) -> McNemarResult:
@@ -128,14 +134,18 @@ def paired_outcomes(
         raise LengthMismatch(
             f"lengths differ: gold {len(gold)}, a {len(pred_a)}, b {len(pred_b)}"
         )
+    return paired_counts(zip(repeat(1), map(eq, pred_a, gold), map(eq, pred_b, gold)))
+
+
+def paired_counts(rows: Iterable[Row]) -> tuple[int, int]:
+    """(b, c) over (count, first right, second right) rows: the count core of
+    paired_outcomes and compare."""
     b = c = 0
-    for g, pa, pb in zip(gold, pred_a, pred_b):
-        a_ok = pa == g
-        b_ok = pb == g
+    for n, a_ok, b_ok in rows:
         if a_ok and not b_ok:
-            b += 1
+            b += n
         elif b_ok and not a_ok:
-            c += 1
+            c += n
     return b, c
 
 
@@ -164,22 +174,28 @@ def paired_sentence_outcomes(
         raise StructureMismatch(
             f"sentence counts differ: gold {len(gold)}, a {len(pred_a)}, b {len(pred_b)}"
         )
-    all_right = [True] * len(gold)
-    return paired_outcomes(all_right, _sentence_hits(gold, pred_a), _sentence_hits(gold, pred_b))
+    hits_a = list(_sentence_hits(gold, pred_a))
+    return paired_counts(zip(repeat(1), hits_a, _sentence_hits(gold, pred_b)))
 
 
-def _sentence_hits(gold: Sequence[Sequence[str]], pred: Sequence[Sequence[str]]) -> list[bool]:
+def _sentence_hits(
+    gold: Sequence[Sequence[str]], pred: Sequence[Sequence[str]]
+) -> Iterator[bool]:
     """Whether each predicted sentence is fully right; sentences must align."""
     if len(gold) != len(pred):
         raise StructureMismatch(f"{len(gold)} gold sentences vs {len(pred)} predicted")
-    hits = []
     for idx, (gs, ps) in enumerate(zip(gold, pred)):
         if len(gs) != len(ps):
             raise StructureMismatch(
                 f"sentence {idx}: {len(gs)} gold tokens vs {len(ps)} predicted"
             )
-        hits.append(all(g == p for g, p in zip(gs, ps)))
-    return hits
+        yield all(g == p for g, p in zip(gs, ps))
+
+
+def _sentence_rate(hits: list[bool]) -> float:
+    if not hits:
+        raise EmptyEval("sentence accuracy over zero sentences is undefined")
+    return sum(hits) / len(hits)
 
 
 def unique_labels(labeled: LabeledCorpus) -> LabelVocabulary:
@@ -192,27 +208,35 @@ def oov_report(train: LabeledCorpus, test: LabeledCorpus) -> OovReport:
         raise SchemeMismatch(
             f"train is {train.scheme.value}, test is {test.scheme.value}"
         )
+    return oov_counts(
+        (tok for sentence in train.sentences for tok in sentence),
+        ((tok, 1) for sentence in test.sentences for tok in sentence),
+    )
+
+
+def oov_counts(
+    train: Iterable[LabeledToken], test: Iterable[tuple[LabeledToken, int]]
+) -> OovReport:
+    """The count core of oov_report and compare; each test row stands for count tokens."""
     train_forms: set[str] = set()
     train_lemmas: set[str] = set()
     train_labels: set[str] = set()
-    for sentence in train.sentences:
-        for tok in sentence:
-            train_forms.add(tok.form)
-            train_lemmas.add(tok.gold_lemma)
-            train_labels.add(tok.label.text)
+    for tok in train:
+        train_forms.add(tok.form)
+        train_lemmas.add(tok.gold_lemma)
+        train_labels.add(tok.label.text)
 
     total = oov_word = oov_lemma = oov_ses = oov_lemma_seen_ses = 0
-    for sentence in test.sentences:
-        for tok in sentence:
-            total += 1
-            if tok.form not in train_forms:
-                oov_word += 1
-            if tok.gold_lemma not in train_lemmas:
-                oov_lemma += 1
-                if tok.label.text in train_labels:
-                    oov_lemma_seen_ses += 1
-            if tok.label.text not in train_labels:
-                oov_ses += 1
+    for tok, n in test:
+        total += n
+        if tok.form not in train_forms:
+            oov_word += n
+        if tok.gold_lemma not in train_lemmas:
+            oov_lemma += n
+            if tok.label.text in train_labels:
+                oov_lemma_seen_ses += n
+        if tok.label.text not in train_labels:
+            oov_ses += n
     if total == 0:
         raise EmptyEval("oov report over an empty test corpus is undefined")
     subset_empty = oov_lemma == 0
@@ -240,17 +264,28 @@ def inv_oov_accuracy(
         raise LengthMismatch(
             f"lengths differ: forms {len(forms)}, gold {len(gold)}, pred {len(pred)}"
         )
-    inv_hits = inv_total = oov_hits = oov_total = 0
-    for form, g, p in zip(forms, gold, pred):
-        if form in train_forms:
-            inv_total += 1
-            inv_hits += g == p
-        else:
-            oov_total += 1
-            oov_hits += g == p
+    if not forms:
+        return None, None
+    seen = (form in train_forms for form in forms)
+    return _tally(zip(repeat(1), map(eq, gold, pred), seen))[1:3]
+
+
+def _tally(rows: Iterable[Row]) -> tuple[float, float | None, float | None, int]:
+    """Word, INV and OOV accuracy and the token total of (count, correct,
+    seen) rows; an empty INV or OOV part gives None."""
+    total = hits = inv_total = inv_hits = 0
+    for n, ok, seen in rows:
+        total += n
+        hits += n * ok
+        if seen:
+            inv_total += n
+            inv_hits += n * ok
+    if not total:
+        raise EmptyEval("word accuracy over zero tokens is undefined")
+    oov_total = total - inv_total
     inv = inv_hits / inv_total if inv_total else None
-    oov = oov_hits / oov_total if oov_total else None
-    return inv, oov
+    oov = (hits - inv_hits) / oov_total if oov_total else None
+    return hits / total, inv, oov, total
 
 
 def format_percent(rate: float) -> str:

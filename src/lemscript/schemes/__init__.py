@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..errors import SchemeMismatch
+from ..errors import LabelDecodeError, SchemeMismatch
 from ..model import Scheme, SesLabel
 from . import ixapipes, morpheus, udpipe
 
@@ -22,3 +22,12 @@ def decode(form: str, label: SesLabel) -> str:
     if module is None:
         raise SchemeMismatch(f"unknown scheme {label.scheme!r}")
     return module.decode(form, label)
+
+
+def decode_or_form(form: str, label: SesLabel) -> tuple[str, bool]:
+    """decode's lemma and False, or the form itself and True when the label
+    cannot be applied to it."""
+    try:
+        return decode(form, label), False
+    except LabelDecodeError:
+        return form, True

@@ -237,6 +237,25 @@ def test_compare_train_equals_test(tmp_path):
         assert scheme["oov"]["ses_rate"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "train_text, test_text, faulty, message",
+    [
+        (TWO_TOKEN_TRAIN, "1\tdogs\t_\tNOUN\t_\t_\t_\t_\t_\t_\n\n", "test",
+         "word accuracy over zero tokens is undefined"),
+        ("", GENERALIZATION_TEST, "train", "cannot train a baseline on zero labeled tokens"),
+    ],
+    ids=["lemmaless-test", "empty-train"],
+)
+def test_compare_names_the_file_with_nothing_to_score(
+    tmp_path, capsys, train_text, test_text, faulty, message
+):
+    paths = {"train": tmp_path / "train.conllu", "test": tmp_path / "test.conllu"}
+    paths["train"].write_text(train_text, encoding="utf-8")
+    paths["test"].write_text(test_text, encoding="utf-8")
+    assert main(["compare", str(paths["train"]), str(paths["test"])]) == 2
+    assert capsys.readouterr().err == f"error: {paths[faulty]}: {message}\n"
+
+
 def test_eval_misaligned_inputs_exit_2(tmp_path, comparison_file, capsys):
     pred = tmp_path / "short.tsv"
     pred.write_text("cats\tcat\n\n", encoding="utf-8")
@@ -404,13 +423,16 @@ def test_each_scheme_labels_with_no_earlier_scheme_alive(tmp_path, monkeypatch, 
     (tmp_path / "test.conllu").write_text(conllu_text(test), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     live = []
-    label_corpus = corpus_io.label_corpus
+    # compare labels the distinct pairs through label_pairs, one LabeledToken each;
+    # stats and encode label a corpus through label_corpus
+    name = "label_pairs" if argv[0] == "compare" else "label_corpus"
+    label = getattr(corpus_io, name)
 
     def counting(corpus, scheme):
         live.append(sum(type(o) is corpus_io.LabeledToken for o in gc.get_objects()))
-        return label_corpus(corpus, scheme)
+        return label(corpus, scheme)
 
-    monkeypatch.setattr(corpus_io, "label_corpus", counting)
+    monkeypatch.setattr(corpus_io, name, counting)
     assert main(argv) == 0
     assert len(live) == 3
     assert live[1] == live[0] and live[2] == live[0], live

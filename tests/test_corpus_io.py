@@ -179,7 +179,7 @@ def _two_calls(train, test, scheme):
 
 
 def _one_pass(train, test, scheme):
-    # what compare does: label the concatenation, split at the train rows
+    # label the concatenation, split at the train rows
     labeled, failures = label_corpus(Corpus(train.sentences + test.sentences), scheme)
     split = len(train.sentences)
     return (
