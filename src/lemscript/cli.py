@@ -318,6 +318,7 @@ def _compare_scheme(scheme: Scheme, table: list, counts: dict, test_ids: list) -
         key = tok.form.lower(), tok.label.text
         texts[key] = texts.get(key, 0) + n
     model = baseline.train_counts(scheme, texts)
+    del texts
     # only the train forms that labeled successfully count as seen
     train_forms = {tok.form for tok, _ in train}
     predicted = baseline.predict_forms(model, (form for (form, _), n in zip(table, n_test) if n))
