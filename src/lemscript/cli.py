@@ -3,16 +3,19 @@
 Subcommands: encode, decode, stats, eval, mcnemar, compare, train,
 predict. Exit codes: 0 success, 1 contract failure (encode failures
 present), 2 usage, I/O or input error; input errors name the file and
-line, and a compare side with nothing to train on or score names its
-file. All reports are deterministic given identical inputs and flags;
-JSON output uses sorted keys. Commands that label under several schemes
-keep one scheme's labels, model and sets alive at a time. compare holds
-no corpus: it reads each file once into per-sentence ids of its distinct
-(form, lemma) pairs, and each scheme's work walks those pairs with their
-train and test counts; only the sentence scores walk the test ids again.
-main() pauses the cyclic garbage collector while its subcommand runs,
-since a run builds no per-token reference cycles, and then restores the
-caller's collector state; library functions never touch it.
+line, and a train or compare side with nothing to train on or score
+names its file. All reports are deterministic given identical inputs and
+flags; JSON output uses sorted keys. Commands that label under several
+schemes keep one scheme's labels, model and sets alive at a time.
+compare holds no corpus: it reads each file once into per-sentence ids
+of its distinct (form, lemma) pairs, and each scheme's work walks those
+pairs with their train and test counts; only the sentence scores walk
+the test ids again. predict streams: it holds the model, its distinct
+forms and one sentence. An output file appears only on success, from a
+temporary sibling. main() pauses the cyclic garbage collector while its
+subcommand runs, since a run builds no per-token reference cycles, and
+then restores the caller's collector state; library functions never
+touch it.
 """
 
 from __future__ import annotations
@@ -20,14 +23,16 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import io
 import itertools
 import json
+import os
 import sys
 from array import array
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from . import baseline, corpus_io, metrics, schemes
 from .errors import EmptyCorpus, EmptyEval, LemscriptError
@@ -376,7 +381,10 @@ def _compare_text(report: dict) -> str:
 def cmd_train(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args.input, args.adjust_propn)
     labeled, failures = corpus_io.label_corpus(corpus, Scheme(args.scheme))
-    model = baseline.train_baseline(labeled)
+    try:
+        model = baseline.train_baseline(labeled)
+    except EmptyCorpus as exc:
+        raise EmptyCorpus(f"{args.input}: {exc}") from None
     with _open_out(args.model) as fp:
         baseline.save_model(model, fp)
     if failures:
@@ -386,17 +394,34 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     model = corpus_io.read_file(args.model, baseline.load_model)
-    corpus = corpus_io.read_conllu(args.input)
-    pred, stats = baseline.predict_corpus(model, corpus)
-    forms = ([tok.form for tok in sentence.tokens] for sentence in corpus.sentences)
     with _open_out(args.output) as out:
-        corpus_io.write_lemmas(forms, pred, out)
-    if stats.decode_failures:
-        print(
-            f"{stats.decode_failures} prediction(s) fell back to the identity lemma",
-            file=sys.stderr,
-        )
+        failures = corpus_io.read_file(args.input, _predict_rows, model, out)
+    if failures:
+        print(f"{failures} prediction(s) fell back to the identity lemma", file=sys.stderr)
     return 0
+
+
+def _predict_rows(lines: Iterable[str], model: baseline.BaselineModel, out: IO[str]) -> int:
+    """Write form<TAB>lemma rows sentence by sentence as they are read, each
+    distinct form predicted once; return how many fell back to the form."""
+    labels: dict = {}
+    rows: dict[str, str] = {}  # form -> its finished row
+    fell_back: set[str] = set()  # the forms whose label failed to decode
+    failures = 0
+    for sentence, _ in corpus_io.conllu_rows(lines):
+        text = []
+        for cols in sentence:
+            form = cols[1]
+            row = rows.get(form)
+            if row is None:
+                lemma, _, failed = baseline._predict(model, form, labels)
+                row = rows[form] = f"{form}\t{lemma}\n"
+                if failed:
+                    fell_back.add(form)
+            text.append(row)
+            failures += form in fell_back
+        out.write("".join(text) + "\n")
+    return failures
 
 
 def _scheme_flag(p: argparse.ArgumentParser, allow_all: bool) -> None:
@@ -441,10 +466,29 @@ def _suffixed(path: str, scheme: str) -> str:
     return str(p.with_name(f"{p.stem}.{scheme}{p.suffix}" if p.suffix else f"{p.name}.{scheme}"))
 
 
-def _open_out(path: str):
-    if path == "-":
-        return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8")
+@contextlib.contextmanager
+def _open_out(path: str) -> Iterator[IO[str]]:
+    """A text stream to path ('-' for stdout) whose text arrives only if the
+    block succeeds. A regular file is written as a sibling temporary file
+    that then replaces it; stdout, devices and pipes get a buffer at the end."""
+    if path == "-" or os.path.exists(path) and not os.path.isfile(path):
+        buffer = io.StringIO()
+        yield buffer
+        if path == "-":
+            sys.stdout.write(buffer.getvalue())
+        else:
+            Path(path).write_text(buffer.getvalue(), encoding="utf-8")
+        return
+    path = os.path.realpath(path)  # replace a symlink's target, not the link
+    temp = f"{path}.{os.getpid()}.tmp"
+    fp = open(temp, "x", encoding="utf-8")
+    try:
+        with fp:
+            yield fp
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def _write(text: str, path: str | None = None) -> None:

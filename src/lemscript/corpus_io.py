@@ -55,18 +55,29 @@ def parse_conllu(lines: Iterable[str], source_name: str = "") -> Corpus:
 
 
 def iter_conllu(lines: Iterable[str]) -> Iterator[Sentence]:
-    """Read CoNLL-U rows sentence by sentence; every repeat of a FORM, LEMMA
-    or UPOS value shares the string object of its first occurrence."""
+    """Read CoNLL-U sentence by sentence (see conllu_rows); every repeat of a
+    FORM, LEMMA or UPOS value shares the string object of its first occurrence."""
     share = {}.setdefault
+    for rows, comments in conllu_rows(lines):
+        yield Sentence(tuple([
+            Token(share(c[1], c[1]), None if c[2] == "_" else share(c[2], c[2]),
+                  "" if c[3] == "_" else share(c[3], c[3]), c[0])
+            for c in rows
+        ]), tuple(comments))
+
+
+def conllu_rows(lines: Iterable[str]) -> Iterator[tuple[list[list], list[str]]]:
+    """Check CoNLL-U rows; yield each sentence's word rows, split on tabs with
+    the ID column parsed to the word's index, and its comment lines."""
     indices: dict[str, int] = {}  # each distinct ID column, parsed once
-    tokens: list[Token] = []
+    rows: list[list] = []
     comments: list[str] = []
     for lineno, raw in enumerate(lines, 1):
         line = raw.rstrip("\r\n")
         if not line.strip():
-            if tokens:
-                yield Sentence(tuple(tokens), tuple(comments))
-            tokens, comments = [], []
+            if rows:
+                yield rows, comments
+            rows, comments = [], []
             continue
         if line.startswith("#"):
             comments.append(line)
@@ -79,14 +90,12 @@ def iter_conllu(lines: Iterable[str]) -> Iterator[Sentence]:
             index = indices[cols[0]] = _token_index(cols[0], lineno)
         if index < 0:
             continue
-        form, lemma, upos = cols[1], cols[2], cols[3]
-        if not form:
+        if not cols[1]:
             raise FormatError(lineno, "empty FORM column")
-        lemma = None if lemma == "_" else share(lemma, lemma)
-        upos = "" if upos == "_" else share(upos, upos)
-        tokens.append(Token(share(form, form), lemma, upos, index))
-    if tokens:
-        yield Sentence(tuple(tokens), tuple(comments))
+        cols[0] = index
+        rows.append(cols)
+    if rows:
+        yield rows, comments
 
 
 _TOKEN_ID = re.compile("[0-9]+(?:[-.][0-9]+)?")

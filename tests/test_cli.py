@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import gc
 import json
+import os
+import stat
 
 import pytest
 
@@ -256,6 +258,16 @@ def test_compare_names_the_file_with_nothing_to_score(
     assert capsys.readouterr().err == f"error: {paths[faulty]}: {message}\n"
 
 
+def test_train_names_the_file_with_nothing_to_train_on(tmp_path, capsys):
+    train = tmp_path / "train.conllu"
+    train.write_text("", encoding="utf-8")
+    model = tmp_path / "model.json"
+    assert main(["train", str(train), str(model), "--scheme", "udpipe"]) == 2
+    message = "cannot train a baseline on zero labeled tokens"
+    assert capsys.readouterr().err == f"error: {train}: {message}\n"
+    assert not model.exists()
+
+
 def test_eval_misaligned_inputs_exit_2(tmp_path, comparison_file, capsys):
     pred = tmp_path / "short.tsv"
     pred.write_text("cats\tcat\n\n", encoding="utf-8")
@@ -330,6 +342,61 @@ def test_prediction_row_without_lemma_is_rejected(tmp_path, comparison_file, cap
     pred.write_text("cats\tcat\n\nbirds\n\n", encoding="utf-8")
     assert main(["eval", str(comparison_file), str(pred)]) == 2
     assert f"error: {pred}:3: expected 2 tab-separated columns, got 1" in capsys.readouterr().err
+
+
+# --- predict's output appears only on success -----------------------------
+
+
+@pytest.mark.parametrize(
+    "last, message",
+    [
+        (b"2\tbirds\tbird\tNOUN\t_\t_\t_\t_\t_\n", "expected 10 tab-separated columns, got 9"),
+        (b"2\tb\xffrds\tbird\tNOUN\t_\t_\t_\t_\t_\t_\n", "not UTF-8"),
+    ],
+    ids=["nine-columns", "non-utf8"],
+)
+@pytest.mark.parametrize("output", ["new", "existing", "-"])
+def test_predict_fault_in_the_last_sentence_leaves_no_output(
+    tmp_path, capsys, last, message, output
+):
+    train = tmp_path / "train.conllu"
+    train.write_text(TWO_TOKEN_TRAIN, encoding="utf-8")
+    model = tmp_path / "model.json"
+    assert main(["train", str(train), str(model), "--scheme", "udpipe"]) == 0
+    test = tmp_path / "test.conllu"
+    # three good sentences of three lines each, then a good row and the faulty one
+    test.write_bytes(GENERALIZATION_TEST.encode() * 3 + ROW.encode() + last + b"\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    pred = out_dir / "pred.tsv"
+    if output == "existing":
+        pred.write_bytes(b"an earlier prediction\n")
+    capsys.readouterr()
+    assert main(["predict", str(model), str(test), "-" if output == "-" else str(pred)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {test}:11: {message}")
+    assert captured.out == ""
+    if output == "existing":
+        assert [p.name for p in out_dir.iterdir()] == ["pred.tsv"]
+        assert pred.read_bytes() == b"an earlier prediction\n"
+    else:
+        assert list(out_dir.iterdir()) == []
+
+
+def test_predict_writes_through_a_symlink_and_to_a_device(tmp_path):
+    train = tmp_path / "train.conllu"
+    train.write_text(TWO_TOKEN_TRAIN, encoding="utf-8")
+    model = tmp_path / "model.json"
+    assert main(["train", str(train), str(model), "--scheme", "udpipe"]) == 0
+    test = tmp_path / "test.conllu"
+    test.write_text(GENERALIZATION_TEST, encoding="utf-8")
+    target, link = tmp_path / "target.tsv", tmp_path / "link.tsv"
+    link.symlink_to(target)
+    assert main(["predict", str(model), str(test), str(link)]) == 0
+    assert link.is_symlink() and read_rows(target) == [["dogs", "dog"], ["horses", "horse"]]
+    # a device is written in place, never replaced by a regular file
+    assert main(["predict", str(model), str(test), os.devnull]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 # --- the collector pause: no per-token cycles, caller's state restored ------
