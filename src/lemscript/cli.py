@@ -403,7 +403,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def _predict_rows(lines: Iterable[str], model: baseline.BaselineModel, out: IO[str]) -> int:
     """Write form<TAB>lemma rows sentence by sentence as they are read, each
-    distinct form predicted once; return how many fell back to the form."""
+    distinct form predicted once; return how many got the identity lemma."""
     labels: dict = {}
     rows: dict[str, str] = {}  # form -> its finished row
     fell_back: set[str] = set()  # the forms whose label failed to decode
