@@ -9,13 +9,14 @@ counted, never raised.
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable
 
 from . import schemes
-from .corpus_io import LabeledCorpus
+from .corpus_io import LabeledCorpus, LabeledToken
 from .errors import EmptyCorpus, FormatError
 from .model import Corpus, Scheme, SesLabel
 
@@ -36,19 +37,16 @@ class PredictionStats:
 
 def train_baseline(labeled: LabeledCorpus) -> BaselineModel:
     """Ties break toward the lexicographically smallest label text (see train_counts)."""
-    pairs = Counter(
-        (tok.form.lower(), tok.label.text) for sentence in labeled.sentences for tok in sentence
-    )
-    return train_counts(labeled.scheme, pairs)
+    return train_counts(labeled.scheme, ((tok, 1) for s in labeled.sentences for tok in s))
 
 
-def train_counts(scheme: Scheme, pairs: Mapping[tuple[str, str], int]) -> BaselineModel:
-    """The model from token counts per (lowercased form, label text): the
-    count core of train_baseline and compare.
-
-    One walk over the counts keeps each form's best text and its count,
-    and sums the overall label counts.
-    """
+def train_counts(scheme: Scheme, rows: Iterable[tuple[LabeledToken, int]]) -> BaselineModel:
+    """The model from (LabeledToken, count) rows, each standing for count
+    tokens: the count core of train_baseline and compare."""
+    pairs: dict[tuple[str, str], int] = {}  # token count per (lowercased form, label text)
+    for tok, n in rows:
+        key = tok.form.lower(), tok.label.text
+        pairs[key] = pairs.get(key, 0) + n
     per_form: dict[str, str] = {}
     top: dict[str, int] = {}  # the count of each form's best text so far
     overall: dict[str, int] = {}
@@ -75,29 +73,21 @@ def predict_corpus(
     """Predict lemmas sentence by sentence, aggregating failure counts.
 
     With lemmatized_only, tokens lacking a gold lemma are skipped so the
-    output aligns with evaluation over gold-lemmatized tokens. Each
-    distinct form is predicted, and each distinct label built, once per
-    call; the stats count tokens.
+    output aligns with evaluation over gold-lemmatized tokens. A shell over
+    predict_forms; the stats count tokens.
     """
-    stats = PredictionStats()
-    labels: dict[str, SesLabel] = {}
-    memo: dict[str, tuple[str, bool, bool]] = {}
-    out: list[list[str]] = []
-    for sentence in corpus.sentences:
-        row: list[str] = []
-        for tok in sentence.tokens:
-            if lemmatized_only and tok.lemma is None:
-                continue
-            hit = memo.get(tok.form)
-            if hit is None:
-                hit = memo[tok.form] = _predict(model, tok.form, labels)
-            lemma, used_fallback, failed = hit
-            stats.tokens += 1
-            stats.fallback_uses += used_fallback
-            stats.decode_failures += failed
-            row.append(lemma)
-        out.append(row)
-    return out, stats
+    forms = [
+        [tok.form for tok in sentence.tokens if not lemmatized_only or tok.lemma is not None]
+        for sentence in corpus.sentences
+    ]
+    tally = Counter(itertools.chain.from_iterable(forms))
+    predicted = predict_forms(model, tally)
+    stats = PredictionStats(tally.total())
+    for form, n in tally.items():
+        _, used_fallback, failed = predicted[form]
+        stats.fallback_uses += n * used_fallback
+        stats.decode_failures += n * failed
+    return [[predicted[form][0] for form in row] for row in forms], stats
 
 
 def predict_forms(model: BaselineModel, forms: Iterable[str]) -> dict[str, tuple[str, bool, bool]]:

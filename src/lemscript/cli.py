@@ -3,19 +3,20 @@
 Subcommands: encode, decode, stats, eval, mcnemar, compare, train,
 predict. Exit codes: 0 success, 1 contract failure (encode failures
 present), 2 usage, I/O or input error; input errors name the file and
-line, and a train or compare side with nothing to train on or score
-names its file. All reports are deterministic given identical inputs and
-flags; JSON output uses sorted keys. Commands that label under several
-schemes keep one scheme's labels, model and sets alive at a time.
-compare holds no corpus: it reads each file once into per-sentence ids
-of its distinct (form, lemma) pairs, and each scheme's work walks those
-pairs with their train and test counts; only the sentence scores walk
-the test ids again. predict streams: it holds the model, its distinct
-forms and one sentence. An output file appears only on success, from a
-temporary sibling. main() pauses the cyclic garbage collector while its
-subcommand runs, since a run builds no per-token reference cycles, and
-then restores the caller's collector state; library functions never
-touch it.
+line, and a file with nothing to train on or score, or an eval
+prediction file out of line with its gold file, is named. All reports
+are deterministic given identical inputs and flags; JSON output uses
+sorted keys. Commands that label under several schemes keep one scheme's
+labels, model and sets alive at a time. compare holds no corpus and
+builds no Token: it reads each file once through the CoNLL-U row core
+into per-sentence ids of its distinct (form, lemma) pairs, and each
+scheme's work walks those pairs with their train and test counts; only
+the sentence scores walk the test ids again. predict streams the row
+core: it holds the model, its distinct forms and one sentence. An output
+file appears only on success, from a temporary sibling. main() pauses
+the cyclic GC while its subcommand runs, since a run builds no
+per-token reference cycles, and then restores the caller's collector
+state; library functions never touch it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
 from . import baseline, corpus_io, metrics, schemes
-from .errors import EmptyCorpus, EmptyEval, LemscriptError
+from .errors import EmptyCorpus, EmptyEval, LemscriptError, LengthMismatch, StructureMismatch
 from .model import Corpus, Scheme
 
 ALL_SCHEMES = tuple(Scheme)
@@ -212,7 +213,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         # every lemmatized train form counts as seen
         train = _load_corpus(args.train, args.adjust_propn)
         train_forms = {t.form for s in train.sentences for t in s.tokens if t.lemma is not None}
-    report = metrics.evaluate(corpus, pred, train_forms)
+    try:
+        report = metrics.evaluate(corpus, pred, train_forms)
+    except EmptyEval as exc:
+        raise EmptyEval(f"{args.gold}: {exc}") from None
+    except (LengthMismatch, StructureMismatch) as exc:
+        raise type(exc)(f"{args.pred}: {exc}") from None
     if args.format == "json":
         payload = asdict(report)
         if not args.train:
@@ -235,9 +241,8 @@ def cmd_mcnemar(args: argparse.Namespace) -> int:
     pred_a = corpus_io.read_file(args.pred_a, corpus_io.parse_lemmas)
     pred_b = corpus_io.read_file(args.pred_b, corpus_io.parse_lemmas)
     gold = metrics.gold_lemmas(corpus)
-    result = _paired_entry(
-        metrics.paired_mcnemar(gold, pred_a, pred_b, args.granularity, args.alpha), args
-    )
+    test = metrics.paired_mcnemar(gold, pred_a, pred_b, args.granularity, args.alpha)
+    result = {"granularity": args.granularity, **asdict(test)}
     if args.format == "json":
         _write_json(result)
     else:
@@ -258,31 +263,31 @@ def cmd_compare(args: argparse.Namespace) -> int:
         path = getattr(args, key)
         ids[key], tokens = corpus_io.read_file(path, _pair_ids, pairs, args.adjust_propn)
         report[key] = {"path": path, "tokens": tokens, "sentences": len(ids[key])}
-    table = list(pairs)
-    del pairs
+    share = {}.setdefault  # one object per distinct form or lemma string, not one per pair
+    table = [(share(form, form), share(lemma, lemma)) for form, lemma in pairs]
+    del pairs, share
     counts = {}  # each file's token count per pair id
     for key, rows in ids.items():
         found = Counter(itertools.chain.from_iterable(rows))
         counts[key] = array("i", map(found.__getitem__, range(len(table))))
     test_ids = ids.pop("test")  # only the test sentences are walked again
     del ids
-    outcomes = {}  # per scheme, which test pairs (by id) and which test sentences are right
+    word = args.granularity == "word"  # McNemar over test pairs by count, or test sentences
+    weights = counts["test"] if word else itertools.repeat(1)
+    outcomes = {}  # per scheme, which of those positions it gets right
     try:
         for scheme in ALL_SCHEMES:
-            row, outcomes[scheme.value] = _compare_scheme(scheme, table, counts, test_ids)
+            row, right, hits = _compare_scheme(scheme, table, counts, test_ids)
             report["schemes"][scheme.value] = row
+            outcomes[scheme.value] = right if word else hits
     except EmptyCorpus as exc:
         raise EmptyCorpus(f"{args.train}: {exc}") from None
     except EmptyEval as exc:
         raise EmptyEval(f"{args.test}: {exc}") from None
     for first, second in itertools.combinations(outcomes, 2):
-        (right_a, hits_a), (right_b, hits_b) = outcomes[first], outcomes[second]
-        if args.granularity == "word":
-            paired = zip(counts["test"], right_a, right_b)
-        else:
-            paired = zip(itertools.repeat(1), hits_a, hits_b)
-        result = metrics.mcnemar(*metrics.paired_counts(paired), args.alpha)
-        report["mcnemar"][f"{first}_vs_{second}"] = _paired_entry(result, args)
+        b, c = metrics.paired_counts(zip(weights, outcomes[first], outcomes[second]))
+        result = {"granularity": args.granularity, **asdict(metrics.mcnemar(b, c, args.alpha))}
+        report["mcnemar"][f"{first}_vs_{second}"] = result
     if args.format == "text":
         _write(_compare_text(report), args.out)
     else:
@@ -295,19 +300,18 @@ def _pair_ids(lines: Iterable[str], pairs: dict, adjust_propn: bool) -> tuple[li
     first-seen order, and the number of tokens read."""
     rows, tokens = [], 0
     new = pairs.setdefault
-    for sentence in corpus_io.iter_conllu(lines):
-        if adjust_propn:
-            sentence = corpus_io.adjust_propn_sentence(sentence)
-        tokens += len(sentence.tokens)
-        ids = [new((t.form, t.lemma), len(pairs)) for t in sentence.tokens if t.lemma is not None]
+    for sentence, _ in corpus_io.conllu_rows(lines):
+        tokens += len(sentence)
+        ids = [new((c[1], corpus_io.propn_lemma(c[2], c[3]) if adjust_propn else c[2]),
+                   len(pairs)) for c in sentence if c[2] != "_"]
         rows.append(array("i", ids))
     return rows, tokens
 
 
 def _compare_scheme(scheme: Scheme, table: list, counts: dict, test_ids: list) -> tuple:
-    """One scheme's report row, and which test pairs and sentences it gets
-    right. Only the sentence hits walk the tokens; the rest walks the
-    distinct pairs with their train and test counts."""
+    """One scheme's report row, which test pairs (by id) and which test
+    sentences it gets right. Only the sentence hits walk the tokens; the
+    rest walks the distinct pairs with their train and test counts."""
     n_train, n_test = counts["train"], counts["test"]
     train, test, failures = [], [], 0  # (LabeledToken, count) of each pair that labeled
     for tok, a, b in zip(corpus_io.label_pairs(scheme, table), n_train, n_test):
@@ -318,12 +322,7 @@ def _compare_scheme(scheme: Scheme, table: list, counts: dict, test_ids: list) -
                 train.append((tok, a))
             if b:
                 test.append((tok, b))
-    texts: dict[tuple[str, str], int] = {}  # token count per (lowercased form, label text)
-    for tok, n in train:
-        key = tok.form.lower(), tok.label.text
-        texts[key] = texts.get(key, 0) + n
-    model = baseline.train_counts(scheme, texts)
-    del texts
+    model = baseline.train_counts(scheme, train)
     # only the train forms that labeled successfully count as seen
     train_forms = {tok.form for tok, _ in train}
     predicted = baseline.predict_forms(model, (form for (form, _), n in zip(table, n_test) if n))
@@ -349,7 +348,7 @@ def _compare_scheme(scheme: Scheme, table: list, counts: dict, test_ids: list) -
         "baseline": {**scores, "fallback_uses": fallback_uses, "decode_failures": decode_failures},
         # the OovReport rates and flag, named without their "oov_" prefix
         "oov": {name.removeprefix("oov_"): v for name, v in oov.items() if name != "token_total"},
-    }, (right, hits)
+    }, right, hits
 
 
 def _compare_text(report: dict) -> str:
@@ -454,11 +453,6 @@ def _format_flag(p: argparse.ArgumentParser) -> None:
 def _load_corpus(path: str, adjust_propn: bool) -> Corpus:
     corpus = corpus_io.read_conllu(path)
     return corpus_io.adjust_propn_lemmas(corpus) if adjust_propn else corpus
-
-
-def _paired_entry(result: metrics.McNemarResult, args: argparse.Namespace) -> dict[str, object]:
-    """One McNemar entry of a report, at --granularity."""
-    return {"granularity": args.granularity, **asdict(result)}
 
 
 def _suffixed(path: str, scheme: str) -> str:

@@ -50,20 +50,17 @@ class LabelFailure:
 
 
 def parse_conllu(lines: Iterable[str], source_name: str = "") -> Corpus:
-    """Read a whole CoNLL-U document (see iter_conllu)."""
-    return Corpus(tuple(iter_conllu(lines)), source_name)
-
-
-def iter_conllu(lines: Iterable[str]) -> Iterator[Sentence]:
-    """Read CoNLL-U sentence by sentence (see conllu_rows); every repeat of a
+    """Read a whole CoNLL-U document through conllu_rows; every repeat of a
     FORM, LEMMA or UPOS value shares the string object of its first occurrence."""
     share = {}.setdefault
-    for rows, comments in conllu_rows(lines):
-        yield Sentence(tuple([
+    return Corpus(tuple(
+        Sentence(tuple([
             Token(share(c[1], c[1]), None if c[2] == "_" else share(c[2], c[2]),
                   "" if c[3] == "_" else share(c[3], c[3]), c[0])
             for c in rows
         ]), tuple(comments))
+        for rows, comments in conllu_rows(lines)
+    ), source_name)
 
 
 def conllu_rows(lines: Iterable[str]) -> Iterator[tuple[list[list], list[str]]]:
@@ -164,18 +161,22 @@ def write_conllu(corpus: Corpus, fp: IO[str]) -> None:
 
 
 def adjust_propn_lemmas(corpus: Corpus) -> Corpus:
-    """Uppercase the first character of lowercase-initial PROPN lemmas."""
-    return Corpus(tuple(map(adjust_propn_sentence, corpus.sentences)), corpus.source_name)
+    """Apply propn_lemma to every token, passing unchanged tokens through."""
+    return Corpus(tuple(
+        Sentence(tuple([
+            tok if (lemma := propn_lemma(tok.lemma, tok.upos)) is tok.lemma
+            else replace(tok, lemma=lemma)
+            for tok in sentence.tokens
+        ]), sentence.comments)
+        for sentence in corpus.sentences
+    ), corpus.source_name)
 
 
-def adjust_propn_sentence(sentence: Sentence) -> Sentence:
-    """adjust_propn_lemmas for one sentence."""
-    toks = []
-    for tok in sentence.tokens:
-        if tok.upos == "PROPN" and tok.lemma and char_class(tok.lemma[0]) is CaseClass.LOWER:
-            tok = replace(tok, lemma=shift_upper(tok.lemma[0]) + tok.lemma[1:])
-        toks.append(tok)
-    return Sentence(tuple(toks), sentence.comments)
+def propn_lemma(lemma: str | None, upos: str) -> str | None:
+    """lemma, with a lowercase first character uppercased if upos is PROPN."""
+    if upos == "PROPN" and lemma and char_class(lemma[0]) is CaseClass.LOWER:
+        return shift_upper(lemma[0]) + lemma[1:]
+    return lemma
 
 
 def label_corpus(

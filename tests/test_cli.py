@@ -7,7 +7,7 @@ import stat
 
 import pytest
 
-from conftest import COMPARISON_CONLLU, COMPARISON_LABELS
+from conftest import COMPARISON_CONLLU, COMPARISON_LABELS, COMPARISON_PAIRS
 from lemscript import corpus_io
 from lemscript.cli import main
 from synth import make_stems, synthetic_corpus
@@ -273,7 +273,22 @@ def test_eval_misaligned_inputs_exit_2(tmp_path, comparison_file, capsys):
     pred.write_text("cats\tcat\n\n", encoding="utf-8")
     code = main(["eval", str(comparison_file), str(pred)])
     assert code == 2
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {pred}: 5 gold lemmas vs 1 predictions\n"
+    # as many rows as gold tokens, but in one sentence where gold has five
+    rows = "".join(f"{form}\t{lemma}\n" for form, lemma in COMPARISON_PAIRS)
+    pred.write_text(rows + "\n", encoding="utf-8")
+    assert main(["eval", str(comparison_file), str(pred)]) == 2
+    assert capsys.readouterr().err == f"error: {pred}: 5 gold sentences vs 1 predicted\n"
+
+
+def test_eval_names_the_gold_file_with_nothing_to_score(tmp_path, capsys):
+    gold = tmp_path / "gold.conllu"
+    gold.write_text("1\tdogs\t_\tNOUN\t_\t_\t_\t_\t_\t_\n\n", encoding="utf-8")
+    pred = tmp_path / "pred.tsv"
+    pred.write_text("", encoding="utf-8")
+    assert main(["eval", str(gold), str(pred)]) == 2
+    message = "word accuracy over zero tokens is undefined"
+    assert capsys.readouterr().err == f"error: {gold}: {message}\n"
 
 
 def test_unknown_flag_is_an_error(comparison_file, capsys):

@@ -27,9 +27,11 @@ from lemscript.model import Scheme
 
 # case variants of one form, a form that only some schemes' fallbacks fit,
 # and proper nouns whose lemmas --adjust-propn changes
-FORMS = ["cats", "Cats", "CATS", "dogs", "did", "Did", "horses", "Paris", "a"]
-# None is an absent lemma ("_"); "" is an empty LEMMA column, which no scheme encodes
-LEMMAS = ["cat", "dog", "do", "horse", "paris", "Paris", "a", "cats", None, ""]
+FORMS = ["cats", "Cats", "CATS", "dogs", "did", "Did", "horses", "Paris", "Çat", "a"]
+# None is an absent lemma ("_"); "" is an empty LEMMA column, which no scheme
+# encodes; "çat" starts with a non-ASCII lowercase letter and "ßad" with a
+# letter that has no one-character uppercase, which --adjust-propn keeps
+LEMMAS = ["cat", "dog", "do", "horse", "paris", "Paris", "çat", "ßad", "a", "cats", None, ""]
 
 TOKENS = st.tuples(
     st.sampled_from(FORMS), st.sampled_from(LEMMAS), st.sampled_from(["NOUN", "PROPN", "VERB"])
@@ -128,6 +130,19 @@ def test_compare_matches_the_token_level_reference(train, test, same, granularit
             return
         assert code == 0, err.getvalue()
         assert json.loads(out.read_text(encoding="utf-8")) == expected
+
+
+@pytest.mark.parametrize("adjust", [[], ["--adjust-propn"]])
+def test_compare_builds_no_token(tmp_path, monkeypatch, adjust):
+    def no_token(*args):
+        raise AssertionError("compare built a Token")
+
+    monkeypatch.setattr(corpus_io, "Token", no_token)
+    data = tmp_path / "data.conllu"
+    data.write_text(conllu([[("Paris", "paris", "PROPN"), ("cats", "cat", "NOUN")]]), "utf-8")
+    out = tmp_path / "report.json"
+    assert main(["compare", str(data), str(data), "--out", str(out), *adjust]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["train"]["tokens"] == 2
 
 
 @pytest.mark.parametrize("granularity", ["word", "sentence"])

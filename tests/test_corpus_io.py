@@ -13,6 +13,7 @@ from lemscript.corpus_io import (
     label_corpus,
     parse_conllu,
     parse_labeled,
+    propn_lemma,
     write_conllu,
     write_labeled,
 )
@@ -113,12 +114,17 @@ def test_conllu_write_parse_idempotence():
         ("Madrid", "madrid", "PROPN", "Madrid"),
         ("Madrid", "Madrid", "PROPN", "Madrid"),
         ("casa", "casa", "NOUN", "casa"),
+        ("Çat", "çat", "PROPN", "Çat"),
+        ("Ssad", "ßad", "PROPN", "ßad"),
+        ("Paris", "", "PROPN", ""),
+        ("Paris", None, "PROPN", None),
     ],
 )
 def test_adjust_propn_lemmas(form, lemma, upos, expected):
     corpus = Corpus((Sentence((Token(form, lemma, upos, 1),)),))
     adjusted = adjust_propn_lemmas(corpus)
     assert adjusted.sentences[0].tokens[0].lemma == expected
+    assert propn_lemma(lemma, upos) == expected
 
 
 def test_adjust_propn_is_idempotent():

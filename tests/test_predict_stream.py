@@ -5,7 +5,7 @@ each sentence as it is read; the reference parses the whole document with
 parse_conllu, predicts with predict_corpus and writes with write_lemmas,
 so any difference in what the two paths read, skip or write shows up as
 different bytes. The fault half mutates one row of a valid document and
-checks that iter_conllu and predict report the same line and message.
+checks that parse_conllu and predict report the same line and message.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def test_a_mutated_row_is_reported_at_its_line(document, endings, mutation, pick
     mutate, message = MUTATIONS[mutation]
     lines[at] = "\t".join(mutate(lines[at].split("\t")))
     with pytest.raises(FormatError) as err:
-        list(corpus_io.iter_conllu(line + end for line, end in zip(lines, endings)))
+        corpus_io.parse_conllu(line + end for line, end in zip(lines, endings))
     assert (err.value.line_number, err.value.message) == (at + 1, message)
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
