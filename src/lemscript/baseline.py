@@ -42,7 +42,7 @@ def train_baseline(labeled: LabeledCorpus) -> BaselineModel:
 
 def train_counts(scheme: Scheme, rows: Iterable[tuple[LabeledToken, int]]) -> BaselineModel:
     """The model from (LabeledToken, count) rows, each standing for count
-    tokens: the count core of train_baseline and compare."""
+    tokens: the count core of train_baseline and the CLI."""
     pairs: dict[tuple[str, str], int] = {}  # token count per (lowercased form, label text)
     for tok, n in rows:
         key = tok.form.lower(), tok.label.text

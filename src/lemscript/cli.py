@@ -7,12 +7,12 @@ line, and a file with nothing to train on or score, or an eval
 prediction file out of line with its gold file, is named. All reports
 are deterministic given identical inputs and flags; JSON output uses
 sorted keys. Commands that label under several schemes keep one scheme's
-labels, model and sets alive at a time. compare holds no corpus and
-builds no Token: it reads each file once through the CoNLL-U row core
-into per-sentence ids of its distinct (form, lemma) pairs, and each
-scheme's work walks those pairs with their train and test counts; only
-the sentence scores walk the test ids again. predict streams the row
-core: it holds the model, its distinct forms and one sentence. An output
+labels, model and sets alive at a time. stats, train and compare build
+no Token: they read each file once through the CoNLL-U row core into one
+table of distinct (form, lemma) pairs with each file's counts, and each
+scheme labels each pair once; only compare's sentence scores walk tokens
+again. eval --train keeps only the train file's lemmatized forms. decode
+writes rows as it decodes; predict streams the row core. An output
 file appears only on success, from a temporary sibling. main() pauses
 the cyclic GC while its subcommand runs, since a run builds no
 per-token reference cycles, and then restores the caller's collector
@@ -163,26 +163,25 @@ def _encode_to(corpus: Corpus, scheme: Scheme, path: str) -> list[dict[str, obje
 
 def cmd_decode(args: argparse.Namespace) -> int:
     labeled = corpus_io.read_file(args.input, corpus_io.parse_labeled, Scheme(args.scheme))
-    decoded = [
-        [schemes.decode_or_form(tok.form, tok.label) for tok in sentence]
-        for sentence in labeled.sentences
-    ]
-    warnings = sum(failed for row in decoded for _, failed in row)
-    lemmas = ([lemma for lemma, _ in row] for row in decoded)
-    forms = ([tok.form for tok in sentence] for sentence in labeled.sentences)
+    warnings = 0
     with _open_out(args.output) as out:
-        corpus_io.write_lemmas(forms, lemmas, out)
+        for sentence in labeled.sentences:
+            for tok in sentence:
+                lemma, failed = schemes.decode_or_form(tok.form, tok.label)
+                warnings += failed
+                out.write(f"{tok.form}\t{lemma}\n")
+            out.write("\n")
     if warnings:
         print(f"{warnings} label(s) failed to decode; identity lemma used", file=sys.stderr)
     return 0
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    corpus = _load_corpus(args.input, args.adjust_propn)
+    table, counts, ((rows, tokens),) = _read_pairs([args.input], args.adjust_propn)
     report: dict[str, object] = {
-        "token_total": corpus.token_count,
-        "sentence_total": corpus.sentence_count,
-        "schemes": {scheme.value: _stats_row(corpus, scheme) for scheme in ALL_SCHEMES},
+        "token_total": tokens,
+        "sentence_total": len(rows),
+        "schemes": {scheme.value: _stats_row(scheme, table, counts) for scheme in ALL_SCHEMES},
     }
     if args.format == "json":
         _write_json(report)
@@ -195,24 +194,21 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stats_row(corpus: Corpus, scheme: Scheme) -> dict[str, int]:
-    labeled, failures = corpus_io.label_corpus(corpus, scheme)
-    vocab = metrics.unique_labels(labeled)
+def _stats_row(scheme: Scheme, table: list, counts: list) -> dict[str, int]:
+    (labeled,), failures = _labeled_counts(scheme, table, counts)
     return {
-        "unique_labels": vocab.unique_count,
-        "labeled_tokens": vocab.token_total,
-        "encode_failures": len(failures),
+        "unique_labels": len({tok.label.text for tok, _ in labeled}),
+        "labeled_tokens": sum(n for _, n in labeled),
+        "encode_failures": failures,
     }
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args.gold, args.adjust_propn)
     pred = corpus_io.read_file(args.pred, corpus_io.parse_lemmas)
-    train_forms = None
-    if args.train:
-        # every lemmatized train form counts as seen
-        train = _load_corpus(args.train, args.adjust_propn)
-        train_forms = {t.form for s in train.sentences for t in s.tokens if t.lemma is not None}
+    # every lemmatized train form counts as seen; only that set is kept
+    train_forms = None if not args.train else corpus_io.read_file(args.train, lambda lines: {
+        c[1] for rows, _ in corpus_io.conllu_rows(lines) for c in rows if c[2] != "_"})
     try:
         report = metrics.evaluate(corpus, pred, train_forms)
     except EmptyEval as exc:
@@ -256,24 +252,14 @@ def cmd_mcnemar(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    pairs: dict[tuple[str, str], int] = {}  # each distinct lemmatized pair -> its id
     report: dict[str, object] = {"schemes": {}, "mcnemar": {}}
-    ids = {}
-    for key in ("train", "test"):
-        path = getattr(args, key)
-        ids[key], tokens = corpus_io.read_file(path, _pair_ids, pairs, args.adjust_propn)
-        report[key] = {"path": path, "tokens": tokens, "sentences": len(ids[key])}
-    share = {}.setdefault  # one object per distinct form or lemma string, not one per pair
-    table = [(share(form, form), share(lemma, lemma)) for form, lemma in pairs]
-    del pairs, share
-    counts = {}  # each file's token count per pair id
-    for key, rows in ids.items():
-        found = Counter(itertools.chain.from_iterable(rows))
-        counts[key] = array("i", map(found.__getitem__, range(len(table))))
-    test_ids = ids.pop("test")  # only the test sentences are walked again
-    del ids
+    table, counts, read = _read_pairs((args.train, args.test), args.adjust_propn)
+    for key, (ids, tokens) in zip(("train", "test"), read):
+        report[key] = {"path": getattr(args, key), "tokens": tokens, "sentences": len(ids)}
+    test_ids = read.pop()[0]  # only the test sentences are walked again
+    del read
     word = args.granularity == "word"  # McNemar over test pairs by count, or test sentences
-    weights = counts["test"] if word else itertools.repeat(1)
+    weights = counts[1] if word else itertools.repeat(1)
     outcomes = {}  # per scheme, which of those positions it gets right
     try:
         for scheme in ALL_SCHEMES:
@@ -295,6 +281,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_pairs(paths: Sequence[str], adjust_propn: bool) -> tuple[list, list, list]:
+    """The distinct lemmatized (form, lemma) pairs of CoNLL-U files, one string per
+    distinct value; each file's token count per pair id; and each file's _pair_ids."""
+    pairs: dict[tuple[str, str], int] = {}  # each distinct pair -> its id
+    read = [corpus_io.read_file(path, _pair_ids, pairs, adjust_propn) for path in paths]
+    share = {}.setdefault
+    table = [(share(form, form), share(lemma, lemma)) for form, lemma in pairs]
+    del pairs, share
+    found = (Counter(itertools.chain.from_iterable(rows)) for rows, _ in read)
+    return table, [array("i", map(n.__getitem__, range(len(table)))) for n in found], read
+
+
 def _pair_ids(lines: Iterable[str], pairs: dict, adjust_propn: bool) -> tuple[list[array], int]:
     """Each sentence's lemmatized tokens as ids into pairs, which grows in
     first-seen order, and the number of tokens read."""
@@ -308,20 +306,21 @@ def _pair_ids(lines: Iterable[str], pairs: dict, adjust_propn: bool) -> tuple[li
     return rows, tokens
 
 
-def _compare_scheme(scheme: Scheme, table: list, counts: dict, test_ids: list) -> tuple:
+def _labeled_counts(scheme: Scheme, table: list, counts: list) -> tuple[list[list], int]:
+    """Label each distinct pair once; per file, the (LabeledToken, count) rows
+    of its pairs that labeled, and the tokens of all files that did not."""
+    labels = corpus_io.label_pairs(scheme, table)
+    failed = sum(n for ns in counts for tok, n in zip(labels, ns) if isinstance(tok, str))
+    return [[(tok, n) for tok, n in zip(labels, ns) if n and not isinstance(tok, str)]
+            for ns in counts], failed
+
+
+def _compare_scheme(scheme: Scheme, table: list, counts: list, test_ids: list) -> tuple:
     """One scheme's report row, which test pairs (by id) and which test
     sentences it gets right. Only the sentence hits walk the tokens; the
     rest walks the distinct pairs with their train and test counts."""
-    n_train, n_test = counts["train"], counts["test"]
-    train, test, failures = [], [], 0  # (LabeledToken, count) of each pair that labeled
-    for tok, a, b in zip(corpus_io.label_pairs(scheme, table), n_train, n_test):
-        if isinstance(tok, str):
-            failures += a + b
-        else:
-            if a:
-                train.append((tok, a))
-            if b:
-                test.append((tok, b))
+    (train, test), failures = _labeled_counts(scheme, table, counts)
+    n_test = counts[1]
     model = baseline.train_counts(scheme, train)
     # only the train forms that labeled successfully count as seen
     train_forms = {tok.form for tok, _ in train}
@@ -378,16 +377,17 @@ def _compare_text(report: dict) -> str:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    corpus = _load_corpus(args.input, args.adjust_propn)
-    labeled, failures = corpus_io.label_corpus(corpus, Scheme(args.scheme))
+    scheme = Scheme(args.scheme)
+    table, counts = _read_pairs([args.input], args.adjust_propn)[:2]
+    (labeled,), failures = _labeled_counts(scheme, table, counts)
     try:
-        model = baseline.train_baseline(labeled)
+        model = baseline.train_counts(scheme, labeled)
     except EmptyCorpus as exc:
         raise EmptyCorpus(f"{args.input}: {exc}") from None
     with _open_out(args.model) as fp:
         baseline.save_model(model, fp)
     if failures:
-        print(f"{len(failures)} token(s) failed to encode and were skipped", file=sys.stderr)
+        print(f"{failures} token(s) failed to encode and were skipped", file=sys.stderr)
     return 0
 
 

@@ -215,7 +215,7 @@ def label_corpus(
 
 def label_pairs(scheme: Scheme, pairs: Iterable[tuple[str, str]]) -> list[LabeledToken | str]:
     """The verified LabeledToken of each distinct (form, lemma) pair, or why
-    it fails: compare's labeling, through label_corpus's _label_pair."""
+    it fails: the CLI's labeling, through label_corpus's _label_pair."""
     labels: dict[str, SesLabel] = {}
     return [_label_pair(scheme, form, lemma, labels) for form, lemma in pairs]
 

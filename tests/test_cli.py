@@ -505,9 +505,9 @@ def test_each_scheme_labels_with_no_earlier_scheme_alive(tmp_path, monkeypatch, 
     (tmp_path / "test.conllu").write_text(conllu_text(test), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     live = []
-    # compare labels the distinct pairs through label_pairs, one LabeledToken each;
-    # stats and encode label a corpus through label_corpus
-    name = "label_pairs" if argv[0] == "compare" else "label_corpus"
+    # compare and stats label the distinct pairs through label_pairs, one
+    # LabeledToken each; encode labels a corpus through label_corpus
+    name = "label_corpus" if argv[0] == "encode" else "label_pairs"
     label = getattr(corpus_io, name)
 
     def counting(corpus, scheme):
