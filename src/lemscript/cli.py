@@ -3,20 +3,23 @@
 Subcommands: encode, decode, stats, eval, mcnemar, compare, train,
 predict. Exit codes: 0 success, 1 contract failure (encode failures
 present), 2 usage, I/O or input error; input errors name the file and
-line, and a file with nothing to train on or score, or an eval
-prediction file out of line with its gold file, is named. All reports
-are deterministic given identical inputs and flags; JSON output uses
-sorted keys. Commands that label under several schemes keep one scheme's
-labels, model and sets alive at a time. stats, train and compare build
-no Token: they read each file once through the CoNLL-U row core into one
-table of distinct (form, lemma) pairs with each file's counts, and each
-scheme labels each pair once; only compare's sentence scores walk tokens
-again. eval --train keeps only the train file's lemmatized forms. decode
-writes rows as it decodes; predict streams the row core. An output
-file appears only on success, from a temporary sibling. main() pauses
-the cyclic GC while its subcommand runs, since a run builds no
-per-token reference cycles, and then restores the caller's collector
-state; library functions never touch it.
+line, and a file with nothing to train on or score, or an eval or
+mcnemar prediction file out of line with its gold file, is named. All
+reports are deterministic given identical inputs and flags; JSON output
+uses sorted keys. Commands that label under several schemes keep one
+scheme's labels, model and sets alive at a time. stats, train and
+compare build no Token: they read each file once through the CoNLL-U row
+core into one table of distinct (form, lemma) pairs with each file's
+counts, and each scheme labels each pair once; only compare's sentence
+scores walk tokens again. eval and mcnemar build no Token either: they
+keep the gold file's word IDs, forms and lemmas, stream each prediction
+file against them, and score its right/wrong flags through the metrics
+count cores as compare does. eval --train keeps only the train file's
+lemmatized forms. decode writes rows as it decodes; predict streams the
+row core. An output file appears only on success, from a temporary
+sibling. main() pauses the cyclic GC while its subcommand runs, since a
+run builds no per-token reference cycles, and then restores the caller's
+collector state; library functions never touch it.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
 from . import baseline, corpus_io, metrics, schemes
-from .errors import EmptyCorpus, EmptyEval, LemscriptError, LengthMismatch, StructureMismatch
+from .errors import EmptyCorpus, EmptyEval, FormatError, LemscriptError
+from .errors import LengthMismatch, StructureMismatch
 from .model import Corpus, Scheme
 
 ALL_SCHEMES = tuple(Scheme)
@@ -135,7 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    corpus = _load_corpus(args.input, args.adjust_propn)
+    corpus = corpus_io.read_conllu(args.input)
+    if args.adjust_propn:
+        corpus = corpus_io.adjust_propn_lemmas(corpus)
     targets = ALL_SCHEMES if args.scheme == "all" else (Scheme(args.scheme),)
     if args.output == "-" and len(targets) > 1:
         print("error: '-' output needs a single --scheme", file=sys.stderr)
@@ -204,17 +210,16 @@ def _stats_row(scheme: Scheme, table: list, counts: list) -> dict[str, int]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    corpus = _load_corpus(args.gold, args.adjust_propn)
-    pred = corpus_io.read_file(args.pred, corpus_io.parse_lemmas)
+    gold = corpus_io.read_file(args.gold, _gold_words, args.adjust_propn)
+    right = corpus_io.read_file(args.pred, _right_flags, gold, args.pred, args.gold, True)
     # every lemmatized train form counts as seen; only that set is kept
     train_forms = None if not args.train else corpus_io.read_file(args.train, lambda lines: {
         c[1] for rows, _ in corpus_io.conllu_rows(lines) for c in rows if c[2] != "_"})
-    try:
-        report = metrics.evaluate(corpus, pred, train_forms)
-    except EmptyEval as exc:
-        raise EmptyEval(f"{args.gold}: {exc}") from None
-    except (LengthMismatch, StructureMismatch) as exc:
-        raise type(exc)(f"{args.pred}: {exc}") from None
+    seen = train_forms or ()
+    rows = zip(itertools.repeat(1), itertools.chain.from_iterable(right), (
+        form in seen for _, forms, lemmas in gold
+        for form, lemma in zip(forms, lemmas) if lemma is not None))
+    report = metrics.score_counts(rows, map(all, right), train_forms is not None)
     if args.format == "json":
         payload = asdict(report)
         if not args.train:
@@ -233,12 +238,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_mcnemar(args: argparse.Namespace) -> int:
-    corpus = _load_corpus(args.gold, args.adjust_propn)
-    pred_a = corpus_io.read_file(args.pred_a, corpus_io.parse_lemmas)
-    pred_b = corpus_io.read_file(args.pred_b, corpus_io.parse_lemmas)
-    gold = metrics.gold_lemmas(corpus)
-    test = metrics.paired_mcnemar(gold, pred_a, pred_b, args.granularity, args.alpha)
-    result = {"granularity": args.granularity, **asdict(test)}
+    gold = corpus_io.read_file(args.gold, _gold_words, args.adjust_propn)
+    # per file, whether it gets each gold lemma, or each gold sentence, right
+    outcomes = [
+        itertools.chain.from_iterable(right) if args.granularity == "word" else map(all, right)
+        for right in [corpus_io.read_file(path, _right_flags, gold, path, args.gold, False)
+                      for path in (args.pred_a, args.pred_b)]
+    ]
+    b, c = metrics.paired_counts(zip(itertools.repeat(1), *outcomes))
+    result = {"granularity": args.granularity, **asdict(metrics.mcnemar(b, c, args.alpha))}
     if args.format == "json":
         _write_json(result)
     else:
@@ -249,6 +257,64 @@ def cmd_mcnemar(args: argparse.Namespace) -> int:
         verdict = "significant" if result["significant"] else "not significant"
         print(f"verdict:              {verdict} at alpha={result['alpha']}")
     return 0
+
+
+def _gold_words(lines: Iterable[str], adjust_propn: bool) -> list[tuple[list, list, list]]:
+    """Each gold sentence's word IDs, forms and lemmas (None for "_"), with
+    one string per distinct form or lemma."""
+    share = {}.setdefault
+    return [(
+        [c[0] for c in rows],
+        [share(c[1], c[1]) for c in rows],
+        [None if c[2] == "_" else share(
+            lemma := corpus_io.propn_lemma(c[2], c[3]) if adjust_propn else c[2], lemma)
+         for c in rows],
+    ) for rows, _ in corpus_io.conllu_rows(lines)]
+
+
+def _right_flags(
+    lines: Iterable[str], gold: list, path: str, gold_path: str, need_lemma: bool
+) -> list[bytearray]:
+    """Per sentence of gold (read from gold_path), whether the predictions at
+    path get each lemmatized word's lemma right. Each predicted sentence holds
+    one form<TAB>lemma row per word or one per lemmatized word, and each row's
+    form must be its word's. Of the faults, the first in this order is raised:
+    the row total, no gold lemma at all (if need_lemma), the sentence count, a
+    sentence's row count, a form."""
+    flags: list[bytearray] = []
+    rows_total = 0
+    count_fault = form_fault = None
+    for rows in corpus_io._tsv_sentences(lines, 2):
+        rows_total += len(rows)
+        k = len(flags)
+        flags.append(right := bytearray())
+        if k >= len(gold):
+            continue
+        ids, forms, lemmas = gold[k]
+        words = zip(ids, forms, lemmas)
+        if len(rows) != len(forms):
+            words = [word for word in words if word[2] is not None]
+            if len(rows) != len(words) and count_fault is None:
+                count_fault = (f"sentence {k}: {len(words)} gold lemmas "
+                               f"in {len(forms)} words vs {len(rows)} predicted")
+        for (lineno, (form, lemma)), (word_id, gold_form, gold_lemma) in zip(rows, words):
+            if form != gold_form and form_fault is None:
+                form_fault = FormatError(lineno, f"form {form!r}, {gold_path} sentence {k} "
+                                         f"word {word_id} has {gold_form!r}")
+            if gold_lemma is not None:
+                right.append(lemma == gold_lemma)
+    lemma_total = sum(len(lemmas) - lemmas.count(None) for _, _, lemmas in gold)
+    if rows_total not in (lemma_total, sum(len(forms) for _, forms, _ in gold)):
+        raise LengthMismatch(f"{path}: {lemma_total} gold lemmas vs {rows_total} predictions")
+    if need_lemma and not lemma_total:
+        raise EmptyEval(f"{gold_path}: word accuracy over zero tokens is undefined")
+    if len(flags) != len(gold):
+        raise StructureMismatch(f"{path}: {len(gold)} gold sentences vs {len(flags)} predicted")
+    if count_fault:
+        raise StructureMismatch(f"{path}: {count_fault}")
+    if form_fault:
+        raise form_fault
+    return flags
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -448,11 +514,6 @@ def _alpha(text: str) -> float:
 
 def _format_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
-
-
-def _load_corpus(path: str, adjust_propn: bool) -> Corpus:
-    corpus = corpus_io.read_conllu(path)
-    return corpus_io.adjust_propn_lemmas(corpus) if adjust_propn else corpus
 
 
 def _suffixed(path: str, scheme: str) -> str:

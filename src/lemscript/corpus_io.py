@@ -252,21 +252,6 @@ def parse_labeled(lines: Iterable[str], scheme: Scheme) -> LabeledCorpus:
     return LabeledCorpus(scheme, tuple(sentences))
 
 
-def write_lemmas(
-    forms: Iterable[Iterable[str]], lemmas: Iterable[Iterable[str]], fp: IO[str]
-) -> None:
-    """Write form<TAB>lemma rows, a blank line after each sentence."""
-    for sentence_forms, sentence_lemmas in zip(forms, lemmas):
-        for form, lemma in zip(sentence_forms, sentence_lemmas):
-            fp.write(f"{form}\t{lemma}\n")
-        fp.write("\n")
-
-
-def parse_lemmas(lines: Iterable[str]) -> list[list[str]]:
-    """Read the lemma column of write_lemmas output, sentence by sentence."""
-    return [[cols[1] for _, cols in rows] for rows in _tsv_sentences(lines, 2)]
-
-
 def _tsv_sentences(lines: Iterable[str], columns: int) -> Iterator[list[tuple[int, list[str]]]]:
     """Split blank-line-separated TSV into sentences of (line number, columns)."""
     rows: list[tuple[int, list[str]]] = []

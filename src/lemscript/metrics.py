@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .corpus_io import LabeledCorpus, LabeledToken
 from .errors import EmptyEval, LengthMismatch, SchemeMismatch, StructureMismatch
-from .model import Corpus, Scheme
+from .model import Scheme
 
 Row = tuple[int, bool, bool]  # a count of positions, and two facts true of each
 
@@ -28,7 +28,7 @@ class EvalReport:
     sentence_accuracy: float
     token_total: int
     sentence_total: int
-    inv_accuracy: float | None = None  # set when evaluate is given train forms
+    inv_accuracy: float | None = None  # set when score_counts splits by train forms
     oov_accuracy: float | None = None
 
 
@@ -79,32 +79,8 @@ def sentence_accuracy(
     return _sentence_rate(list(_sentence_hits(gold, pred)))
 
 
-def gold_lemmas(corpus: Corpus) -> list[list[str]]:
-    """Gold lemmas sentence by sentence; tokens without a lemma are left out."""
-    return [[t.lemma for t in s.tokens if t.lemma is not None] for s in corpus.sentences]
-
-
-def evaluate(
-    gold: Corpus, pred: Sequence[Sequence[str]], train_forms: set[str] | None = None
-) -> EvalReport:
-    """Score predictions for the lemmatized tokens of a gold corpus.
-
-    With train_forms, the word accuracy is also split over forms seen and
-    unseen in training (see inv_oov_accuracy).
-    """
-    lemmas = gold_lemmas(gold)
-    flat_gold = _flatten(lemmas)
-    flat_pred = _flatten(pred)
-    if len(flat_gold) != len(flat_pred):
-        raise LengthMismatch(f"{len(flat_gold)} gold lemmas vs {len(flat_pred)} predictions")
-    seen = train_forms or ()
-    forms = (t.form for s in gold.sentences for t in s.tokens if t.lemma is not None)
-    rows = zip(repeat(1), map(eq, flat_gold, flat_pred), (form in seen for form in forms))
-    return score_counts(rows, _sentence_hits(lemmas, pred), train_forms is not None)
-
-
 def score_counts(rows: Iterable[Row], sentence_hits: Iterable[bool], split: bool) -> EvalReport:
-    """The count core of evaluate and compare: each (count, correct, seen in
+    """The count core of the CLI's eval and compare: each (count, correct, seen in
     training) row stands for count tokens, and each sentence hit says whether
     a sentence is fully right. With split, the INV/OOV accuracies are set."""
     word, inv, oov, total = _tally(rows)
@@ -139,7 +115,7 @@ def paired_outcomes(
 
 def paired_counts(rows: Iterable[Row]) -> tuple[int, int]:
     """(b, c) over (count, first right, second right) rows: the count core of
-    paired_outcomes and compare."""
+    paired_outcomes and of the CLI's mcnemar and compare."""
     b = c = 0
     for n, a_ok, b_ok in rows:
         if a_ok and not b_ok:
@@ -147,35 +123,6 @@ def paired_counts(rows: Iterable[Row]) -> tuple[int, int]:
         elif b_ok and not a_ok:
             c += n
     return b, c
-
-
-def paired_mcnemar(
-    gold: Sequence[Sequence[str]],
-    pred_a: Sequence[Sequence[str]],
-    pred_b: Sequence[Sequence[str]],
-    granularity: str = "word",
-    alpha: float = 0.05,
-) -> McNemarResult:
-    """McNemar test of two systems over tokens ("word") or whole sentences."""
-    if granularity == "word":
-        b, c = paired_outcomes(_flatten(gold), _flatten(pred_a), _flatten(pred_b))
-    else:
-        b, c = paired_sentence_outcomes(gold, pred_a, pred_b)
-    return mcnemar(b, c, alpha)
-
-
-def paired_sentence_outcomes(
-    gold: Sequence[Sequence[str]],
-    pred_a: Sequence[Sequence[str]],
-    pred_b: Sequence[Sequence[str]],
-) -> tuple[int, int]:
-    """Sentence-granular disagreements: a position is a fully correct sentence."""
-    if not (len(gold) == len(pred_a) == len(pred_b)):
-        raise StructureMismatch(
-            f"sentence counts differ: gold {len(gold)}, a {len(pred_a)}, b {len(pred_b)}"
-        )
-    hits_a = list(_sentence_hits(gold, pred_a))
-    return paired_counts(zip(repeat(1), hits_a, _sentence_hits(gold, pred_b)))
 
 
 def _sentence_hits(
@@ -292,6 +239,3 @@ def format_percent(rate: float) -> str:
     """Render a fraction as a percentage with two decimals, e.g. '7.85%'."""
     return f"{rate * 100:.2f}%"
 
-
-def _flatten(sentences: Sequence[Sequence[str]]) -> list[str]:
-    return [item for sentence in sentences for item in sentence]

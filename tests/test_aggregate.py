@@ -1,10 +1,12 @@
-"""`lemscript stats`, `train` and `eval --train` against token-level references.
+"""`lemscript stats`, `train`, `eval` and `mcnemar` against token-level references.
 
-The three commands read each file into compare's table of distinct (form,
+stats and train read each file into compare's table of distinct (form,
 lemma) pairs and weight each pair by its token count; the references below
 parse a whole corpus with parse_conllu and label it token by token with
 label_corpus, so any difference in how counts stand for tokens shows up as
-different output.
+different output. eval and mcnemar stream each prediction file against the
+gold file's words, in either prediction layout; their references score lemma
+lists against the parsed gold corpus with tests/reference.py.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ from hypothesis import strategies as st
 
 from lemscript import baseline, corpus_io, metrics
 from lemscript.cli import main
+from lemscript.corpus_io import read_file
 from lemscript.errors import EmptyEval, LemscriptError
 from lemscript.model import Scheme
+from reference import evaluate, gold_lemmas, paired_mcnemar, parse_lemmas
 from test_compare import DOCUMENTS, conllu
 
 FORMATS = st.sampled_from(["text", "json"])
@@ -94,13 +98,28 @@ def test_train_matches_the_token_level_reference(document, adjust, scheme):
         assert model.read_text(encoding="utf-8") == expected.getvalue()
 
 
-def eval_reference(gold_path, pred_path, train_path, adjust, fmt) -> tuple[int, str, str]:
-    """eval --train's exit code, stdout and stderr, from the token-level train forms."""
+def write_predictions(path: str, gold, guesses, per_word: bool) -> list[list[str]]:
+    """Write a prediction file for the gold sentences, one row per word or one
+    per lemmatized word, guessing lemmas in turn from guesses; return each gold
+    sentence's guesses for its lemmatized words."""
+    guess = itertools.cycle(guesses)
+    text, lemmas = [], []
+    for sentence in gold:
+        rows = [(form, next(guess), lemma is not None)
+                for form, lemma, _ in sentence if per_word or lemma is not None]
+        text.append("".join(f"{form}\t{lemma}\n" for form, lemma, _ in rows) + "\n")
+        lemmas.append([lemma for _, lemma, lemmatized in rows if lemmatized])
+    Path(path).write_text("".join(text), encoding="utf-8")
+    return lemmas
+
+
+def eval_reference(gold_path, pred_path, pred, train_path, adjust, fmt) -> tuple[int, str, str]:
+    """eval --train's exit code, stdout and stderr for the lemma lists pred,
+    from the token-level train forms."""
     train = corpus(train_path, adjust)
     seen = {t.form for s in train.sentences for t in s.tokens if t.lemma is not None}
-    pred = corpus_io.read_file(pred_path, corpus_io.parse_lemmas)
     try:
-        report = metrics.evaluate(corpus(gold_path, adjust), pred, seen)
+        report = evaluate(corpus(gold_path, adjust), pred, seen)
     except LemscriptError as exc:
         # an empty gold side names the gold file, a misaligned one the predictions
         return 2, "", f"error: {gold_path if isinstance(exc, EmptyEval) else pred_path}: {exc}\n"
@@ -119,33 +138,78 @@ def eval_reference(gold_path, pred_path, train_path, adjust, fmt) -> tuple[int, 
     ), ""
 
 
+GUESSES = st.lists(st.sampled_from(["cat", "cats", "Paris", "paris", "do", ""]), min_size=1)
+
+
 @given(
     train=DOCUMENTS,
     gold=DOCUMENTS,
-    guesses=st.lists(st.sampled_from(["cat", "cats", "Paris", "paris", "do", ""]), min_size=1),
+    guesses=GUESSES,
     adjust=st.booleans(),
     fmt=FORMATS,
+    per_word=st.booleans(),
 )
-def test_eval_train_matches_the_token_level_train_forms(train, gold, guesses, adjust, fmt):
+def test_eval_train_matches_the_token_level_train_forms(train, gold, guesses, adjust, fmt,
+                                                        per_word):
     with tempfile.TemporaryDirectory() as tmp:
         paths = [str(Path(tmp, name)) for name in ("train.conllu", "gold.conllu", "pred.tsv")]
         Path(paths[0]).write_text(conllu(train), encoding="utf-8")
         Path(paths[1]).write_text(conllu(gold), encoding="utf-8")
-        # one guessed lemma per lemmatized gold token; a sentence with none
-        # leaves no rows, so its gold and prediction sentences misalign
-        guess = itertools.cycle(guesses)
-        Path(paths[2]).write_text("".join(
-            "".join(f"{form}\t{next(guess)}\n" for form, lemma, _ in sentence if lemma is not None)
-            + "\n"
-            for sentence in gold
-        ), encoding="utf-8")
+        lemmas = write_predictions(paths[2], gold, guesses, per_word)
+        # with a row per lemmatized word, a sentence with no lemma leaves no
+        # rows, so its gold and prediction sentences misalign, as the
+        # reference reads the file
+        pred = lemmas if per_word else read_file(paths[2], parse_lemmas)
         argv = ["eval", paths[1], paths[2], "--train", paths[0], "--format", fmt]
         result = run(argv + (["--adjust-propn"] if adjust else []))
-        assert result == eval_reference(paths[1], paths[2], paths[0], adjust, fmt)
+        assert result == eval_reference(paths[1], paths[2], pred, paths[0], adjust, fmt)
+
+
+def mcnemar_text(result: dict, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(result, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+    verdict = "significant" if result["significant"] else "not significant"
+    return (
+        f"b (A right, B wrong): {result['b']}\n"
+        f"c (A wrong, B right): {result['c']}\n"
+        f"statistic:            {result['statistic']:.4f}\n"
+        f"p-value:              {result['p_value']:.4g}\n"
+        f"verdict:              {verdict} at alpha={result['alpha']}\n"
+    )
+
+
+@given(
+    gold=DOCUMENTS,
+    guesses=st.tuples(GUESSES, GUESSES),
+    per_word=st.tuples(st.booleans(), st.booleans()),
+    granularity=st.sampled_from(["word", "sentence"]),
+    adjust=st.booleans(),
+    fmt=FORMATS,
+)
+def test_mcnemar_matches_the_token_level_reference(gold, guesses, per_word, granularity,
+                                                   adjust, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        gold_path, *paths = [str(Path(tmp, name)) for name in ("gold.conllu", "a.tsv", "b.tsv")]
+        Path(gold_path).write_text(conllu(gold), encoding="utf-8")
+        preds = [write_predictions(path, gold, guess, layout)
+                 for path, guess, layout in zip(paths, guesses, per_word)]
+        argv = ["mcnemar", gold_path, *paths, "--granularity", granularity, "--format", fmt]
+        result = run(argv + (["--adjust-propn"] if adjust else []))
+        for path in paths:
+            # only a file with a row per lemmatized word, over a gold sentence
+            # with no lemma, has fewer sentences than the gold file
+            sentences = len(read_file(path, parse_lemmas))
+            if sentences != len(gold):
+                message = f"{len(gold)} gold sentences vs {sentences} predicted"
+                assert result == (2, "", f"error: {path}: {message}\n")
+                return
+        lemmas = gold_lemmas(corpus(gold_path, adjust))
+        test = paired_mcnemar(lemmas, *preds, granularity)
+        assert result == (0, mcnemar_text({"granularity": granularity, **asdict(test)}, fmt), "")
 
 
 @pytest.mark.parametrize("adjust", [[], ["--adjust-propn"]])
-@pytest.mark.parametrize("command", ["stats", "train"])
+@pytest.mark.parametrize("command", ["stats", "train", "eval", "mcnemar"])
 def test_stats_and_train_build_no_token(tmp_path, monkeypatch, capsys, command, adjust):
     def no_token(*args):
         raise AssertionError(f"{command} built a Token")
@@ -153,9 +217,20 @@ def test_stats_and_train_build_no_token(tmp_path, monkeypatch, capsys, command, 
     monkeypatch.setattr(corpus_io, "Token", no_token)
     data = tmp_path / "data.conllu"
     data.write_text(conllu([[("Paris", "paris", "PROPN"), ("cats", "cat", "NOUN")]]), "utf-8")
+    pred = tmp_path / "pred.tsv"
+    pred.write_text("Paris\tParis\ncats\tcat\n\n", "utf-8")
     if command == "stats":
         assert main(["stats", str(data), "--format", "json", *adjust]) == 0
         assert json.loads(capsys.readouterr().out)["token_total"] == 2
+        return
+    if command == "eval":
+        argv = ["eval", str(data), str(pred), "--train", str(data), "--format", "json"]
+        assert main(argv + adjust) == 0
+        assert json.loads(capsys.readouterr().out)["word_accuracy"] == (1.0 if adjust else 0.5)
+        return
+    if command == "mcnemar":
+        assert main(["mcnemar", str(data), str(pred), str(pred), "--format", "json", *adjust]) == 0
+        assert json.loads(capsys.readouterr().out)["b"] == 0
         return
     for scheme in Scheme:
         model = tmp_path / f"model.{scheme.value}.json"

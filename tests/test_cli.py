@@ -291,6 +291,60 @@ def test_eval_names_the_gold_file_with_nothing_to_score(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {gold}: {message}\n"
 
 
+# one sentence whose middle word has no lemma
+ABSENT_LEMMA_GOLD = (
+    "1\tcats\tcat\tNOUN\t_\t_\t_\t_\t_\t_\n"
+    "2\tthe\t_\tDET\t_\t_\t_\t_\t_\t_\n"
+    "3\tdogs\tdog\tNOUN\t_\t_\t_\t_\t_\t_\n\n"
+)
+
+
+@pytest.mark.parametrize("command", ["eval", "mcnemar"])
+def test_a_prediction_form_that_is_not_the_gold_form_exits_2(tmp_path, capsys, command):
+    gold = tmp_path / "gold.conllu"
+    gold.write_text(ABSENT_LEMMA_GOLD, encoding="utf-8")
+    good = tmp_path / "good.tsv"
+    good.write_text("cats\tcat\ndogs\tdog\n\n", encoding="utf-8")
+    pred = tmp_path / "pred.tsv"
+    pred.write_text("cats\tcat\nthe\tthe\nxx\tdog\n\n", encoding="utf-8")
+    argv = ["eval", str(gold), str(pred)] if command == "eval" else [
+        "mcnemar", str(gold), str(good), str(pred)]
+    assert main(argv) == 2
+    message = f"form 'xx', {gold} sentence 0 word 3 has 'dogs'"
+    assert capsys.readouterr().err == f"error: {pred}:3: {message}\n"
+
+
+def test_predict_output_over_absent_gold_lemmas_scores(tmp_path, capsys):
+    gold = tmp_path / "gold.conllu"
+    gold.write_text(ABSENT_LEMMA_GOLD, encoding="utf-8")
+    model, pred = tmp_path / "model.json", tmp_path / "pred.tsv"
+    assert main(["train", str(gold), str(model), "--scheme", "udpipe"]) == 0
+    assert main(["predict", str(model), str(gold), str(pred)]) == 0
+    assert len(read_rows(pred)) == 3  # a row for the word without a lemma too
+    assert main(["eval", str(gold), str(pred), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["word_accuracy"], payload["token_total"]) == (1.0, 2)
+    lemmatized = tmp_path / "lemmatized.tsv"
+    lemmatized.write_text("cats\tcats\ndogs\tdog\n\n", encoding="utf-8")
+    assert main(["mcnemar", str(gold), str(pred), str(lemmatized), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["b"] == 1
+
+
+def test_mcnemar_names_the_prediction_file_at_fault(tmp_path, comparison_file, capsys):
+    good = tmp_path / "good.tsv"
+    good.write_text("".join(f"{form}\t{lemma}\n\n" for form, lemma in COMPARISON_PAIRS), "utf-8")
+    short = tmp_path / "short.tsv"
+    short.write_text("cats\tcat\n\n", encoding="utf-8")
+    assert main(["mcnemar", str(comparison_file), str(good), str(short)]) == 2
+    assert capsys.readouterr().err == f"error: {short}: 5 gold lemmas vs 1 predictions\n"
+    # at word granularity too, the sentence breaks must be the gold file's
+    joined = tmp_path / "joined.tsv"
+    rows = "".join(f"{form}\t{lemma}\n" for form, lemma in COMPARISON_PAIRS)
+    joined.write_text(rows + "\n", encoding="utf-8")
+    assert main(["mcnemar", str(comparison_file), str(joined), str(good)]) == 2
+    assert capsys.readouterr().err == f"error: {joined}: 5 gold sentences vs 1 predicted\n"
+
+
 def test_unknown_flag_is_an_error(comparison_file, capsys):
     with pytest.raises(SystemExit) as err:
         main(["stats", str(comparison_file), "--bogus"])

@@ -24,6 +24,7 @@ from lemscript import baseline, corpus_io, metrics
 from lemscript.cli import main
 from lemscript.errors import EmptyCorpus, EmptyEval, LemscriptError
 from lemscript.model import Scheme
+from reference import evaluate, gold_lemmas, paired_mcnemar
 
 # case variants of one form, a form that only some schemes' fallbacks fit,
 # and proper nouns whose lemmas --adjust-propn changes
@@ -70,7 +71,7 @@ def reference(train_path: str, test_path: str, granularity: str, adjust: bool) -
         model = baseline.train_baseline(train_labeled)
         pred, stats = baseline.predict_corpus(model, test, lemmatized_only=True)
         seen = {tok.form for sentence in train_labeled.sentences for tok in sentence}
-        scores = metrics.evaluate(test, pred, seen)
+        scores = evaluate(test, pred, seen)
         oov = metrics.oov_report(train_labeled, test_labeled)
         predictions[scheme.value] = pred
         report["schemes"][scheme.value] = {
@@ -92,9 +93,9 @@ def reference(train_path: str, test_path: str, granularity: str, adjust: bool) -
                 "lemma_subset_empty": oov.oov_lemma_subset_empty,
             },
         }
-    gold = metrics.gold_lemmas(test)
+    gold = gold_lemmas(test)
     for first, second in itertools.combinations([s.value for s in Scheme], 2):
-        result = metrics.paired_mcnemar(
+        result = paired_mcnemar(
             gold, predictions[first], predictions[second], granularity, 0.05
         )
         report["mcnemar"][f"{first}_vs_{second}"] = {"granularity": granularity, **asdict(result)}

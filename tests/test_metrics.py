@@ -13,12 +13,12 @@ from lemscript.metrics import (
     mcnemar,
     oov_report,
     paired_outcomes,
-    paired_sentence_outcomes,
     sentence_accuracy,
     unique_labels,
     word_accuracy,
 )
 from lemscript.model import Scheme
+from reference import paired_sentence_outcomes
 
 
 # --- word accuracy --------------------------------------------------------

@@ -25,6 +25,7 @@ from lemscript import baseline, corpus_io
 from lemscript.cli import main
 from lemscript.errors import FormatError
 from lemscript.model import Scheme
+from reference import write_lemmas
 
 # seen forms, a case variant whose label may not fit, unseen forms, one too
 # short for most fallback labels, a non-ASCII form and the form "_"
@@ -88,7 +89,7 @@ def reference(model_path: Path, conllu_path: Path) -> tuple[str, str]:
     pred, stats = baseline.predict_corpus(model, corpus)
     text = io.StringIO()
     forms = ([tok.form for tok in sentence.tokens] for sentence in corpus.sentences)
-    corpus_io.write_lemmas(forms, pred, text)
+    write_lemmas(forms, pred, text)
     err = stats.decode_failures
     return text.getvalue(), f"{err} prediction(s) fell back to the identity lemma\n" if err else ""
 
