@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass
-from typing import IO, Iterable
+from types import SimpleNamespace
+from typing import IO, Iterable, NamedTuple
 
 from . import schemes
 from .corpus_io import LabeledCorpus, LabeledToken
@@ -21,18 +21,18 @@ from .errors import EmptyCorpus, FormatError
 from .model import Corpus, Scheme, SesLabel
 
 
-@dataclass(frozen=True, slots=True)
-class BaselineModel:
+class BaselineModel(NamedTuple):
     scheme: Scheme
     per_form: dict[str, str]  # lowercased form -> most frequent label text
     fallback: str             # corpus-wide most frequent label text
 
 
-@dataclass(slots=True)
-class PredictionStats:
-    tokens: int = 0
-    fallback_uses: int = 0
-    decode_failures: int = 0
+class PredictionStats(SimpleNamespace):
+    """Mutable per-run counts, compared and shown field by field."""
+
+    def __init__(self, tokens: int = 0, fallback_uses: int = 0, decode_failures: int = 0):
+        super().__init__(tokens=tokens, fallback_uses=fallback_uses,
+                         decode_failures=decode_failures)
 
 
 def train_baseline(labeled: LabeledCorpus) -> BaselineModel:

@@ -34,7 +34,6 @@ import os
 import sys
 from array import array
 from collections import Counter
-from dataclasses import asdict
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -164,7 +163,7 @@ def _encode_to(corpus: Corpus, scheme: Scheme, path: str) -> list[dict[str, obje
     labeled, failures = corpus_io.label_corpus(corpus, scheme)
     with _open_out(path) as fp:
         corpus_io.write_labeled(labeled, fp)
-    return [asdict(f) for f in failures]
+    return [f._asdict() for f in failures]
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
@@ -211,7 +210,7 @@ def _stats_row(scheme: Scheme, table: list, counts: list) -> dict[str, int]:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     gold = corpus_io.read_file(args.gold, _gold_words, args.adjust_propn)
-    right = corpus_io.read_file(args.pred, _right_flags, gold, args.pred, args.gold, True)
+    right = corpus_io.read_file(args.pred, _right_flags, gold, args.pred, args.gold)
     # every lemmatized train form counts as seen; only that set is kept
     train_forms = None if not args.train else corpus_io.read_file(args.train, lambda lines: {
         c[1] for rows, _ in corpus_io.conllu_rows(lines) for c in rows if c[2] != "_"})
@@ -221,7 +220,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         for form, lemma in zip(forms, lemmas) if lemma is not None))
     report = metrics.score_counts(rows, map(all, right), train_forms is not None)
     if args.format == "json":
-        payload = asdict(report)
+        payload = report._asdict()
         if not args.train:
             del payload["inv_accuracy"], payload["oov_accuracy"]
         _write_json(payload)
@@ -242,11 +241,11 @@ def cmd_mcnemar(args: argparse.Namespace) -> int:
     # per file, whether it gets each gold lemma, or each gold sentence, right
     outcomes = [
         itertools.chain.from_iterable(right) if args.granularity == "word" else map(all, right)
-        for right in [corpus_io.read_file(path, _right_flags, gold, path, args.gold, False)
+        for right in [corpus_io.read_file(path, _right_flags, gold, path, args.gold)
                       for path in (args.pred_a, args.pred_b)]
     ]
     b, c = metrics.paired_counts(zip(itertools.repeat(1), *outcomes))
-    result = {"granularity": args.granularity, **asdict(metrics.mcnemar(b, c, args.alpha))}
+    result = {"granularity": args.granularity, **metrics.mcnemar(b, c, args.alpha)._asdict()}
     if args.format == "json":
         _write_json(result)
     else:
@@ -273,13 +272,13 @@ def _gold_words(lines: Iterable[str], adjust_propn: bool) -> list[tuple[list, li
 
 
 def _right_flags(
-    lines: Iterable[str], gold: list, path: str, gold_path: str, need_lemma: bool
+    lines: Iterable[str], gold: list, path: str, gold_path: str
 ) -> list[bytearray]:
     """Per sentence of gold (read from gold_path), whether the predictions at
     path get each lemmatized word's lemma right. Each predicted sentence holds
     one form<TAB>lemma row per word or one per lemmatized word, and each row's
     form must be its word's. Of the faults, the first in this order is raised:
-    the row total, no gold lemma at all (if need_lemma), the sentence count, a
+    the row total, no gold lemma at all, the sentence count, a
     sentence's row count, a form."""
     flags: list[bytearray] = []
     rows_total = 0
@@ -306,7 +305,7 @@ def _right_flags(
     lemma_total = sum(len(lemmas) - lemmas.count(None) for _, _, lemmas in gold)
     if rows_total not in (lemma_total, sum(len(forms) for _, forms, _ in gold)):
         raise LengthMismatch(f"{path}: {lemma_total} gold lemmas vs {rows_total} predictions")
-    if need_lemma and not lemma_total:
+    if not lemma_total:
         raise EmptyEval(f"{gold_path}: word accuracy over zero tokens is undefined")
     if len(flags) != len(gold):
         raise StructureMismatch(f"{path}: {len(gold)} gold sentences vs {len(flags)} predicted")
@@ -338,7 +337,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise EmptyEval(f"{args.test}: {exc}") from None
     for first, second in itertools.combinations(outcomes, 2):
         b, c = metrics.paired_counts(zip(weights, outcomes[first], outcomes[second]))
-        result = {"granularity": args.granularity, **asdict(metrics.mcnemar(b, c, args.alpha))}
+        result = {"granularity": args.granularity, **metrics.mcnemar(b, c, args.alpha)._asdict()}
         report["mcnemar"][f"{first}_vs_{second}"] = result
     if args.format == "text":
         _write(_compare_text(report), args.out)
@@ -404,9 +403,9 @@ def _compare_scheme(scheme: Scheme, table: list, counts: list, test_ids: list) -
             fallback_uses += n * used_fallback
             decode_failures += n * failed
     hits = [all(map(right.__getitem__, ids)) for ids in test_ids]
-    scores = asdict(metrics.score_counts(scored, hits, True))
+    scores = metrics.score_counts(scored, hits, True)._asdict()
     del scores["token_total"], scores["sentence_total"]
-    oov = asdict(metrics.oov_counts((tok for tok, _ in train), test))
+    oov = metrics.oov_counts((tok for tok, _ in train), test)._asdict()
     return {
         "unique_labels": len({tok.label.text for tok, _ in train}),
         "encode_failures": failures,

@@ -12,26 +12,28 @@ line after each sentence.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
-from typing import IO, Callable, Iterable, Iterator, TypeVar
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from . import schemes
 from .casing import CaseClass, char_class, shift_upper
 from .errors import FormatError, LemscriptError
-from .model import Corpus, Scheme, Sentence, SesLabel, Token
+from .model import Corpus, Scheme, Sentence, SesLabel, Token, _Value
 
 T = TypeVar("T")
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledToken:
-    form: str
-    gold_lemma: str
-    label: SesLabel
+class LabeledToken(_Value):
+    """One labeled row; slotted, not a NamedTuple, since decode holds one per row."""
+
+    __slots__ = ("form", "gold_lemma", "label")
+
+    def __init__(self, form: str, gold_lemma: str, label: SesLabel) -> None:
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "gold_lemma", gold_lemma)
+        object.__setattr__(self, "label", label)
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledCorpus:
+class LabeledCorpus(NamedTuple):
     scheme: Scheme
     sentences: tuple[tuple[LabeledToken, ...], ...] = ()
 
@@ -40,8 +42,7 @@ class LabeledCorpus:
         return sum(len(s) for s in self.sentences)
 
 
-@dataclass(frozen=True, slots=True)
-class LabelFailure:
+class LabelFailure(NamedTuple):
     """One token whose label did not decode back to the gold lemma."""
 
     sentence_index: int  # 0-based sentence position
@@ -165,7 +166,7 @@ def adjust_propn_lemmas(corpus: Corpus) -> Corpus:
     return Corpus(tuple(
         Sentence(tuple([
             tok if (lemma := propn_lemma(tok.lemma, tok.upos)) is tok.lemma
-            else replace(tok, lemma=lemma)
+            else Token(tok.form, lemma, tok.upos, tok.index)
             for tok in sentence.tokens
         ]), sentence.comments)
         for sentence in corpus.sentences

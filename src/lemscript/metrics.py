@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import repeat
 from operator import eq
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus_io import LabeledCorpus, LabeledToken
 from .errors import EmptyEval, LengthMismatch, SchemeMismatch, StructureMismatch
@@ -22,8 +21,7 @@ from .model import Scheme
 Row = tuple[int, bool, bool]  # a count of positions, and two facts true of each
 
 
-@dataclass(frozen=True, slots=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     word_accuracy: float
     sentence_accuracy: float
     token_total: int
@@ -32,8 +30,7 @@ class EvalReport:
     oov_accuracy: float | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class McNemarResult:
+class McNemarResult(NamedTuple):
     b: int            # first system correct, second wrong
     c: int            # first system wrong, second correct
     statistic: float
@@ -42,8 +39,7 @@ class McNemarResult:
     significant: bool
 
 
-@dataclass(frozen=True, slots=True)
-class LabelVocabulary:
+class LabelVocabulary(NamedTuple):
     scheme: Scheme
     counts: dict[str, int]
 
@@ -56,8 +52,7 @@ class LabelVocabulary:
         return sum(self.counts.values())
 
 
-@dataclass(frozen=True, slots=True)
-class OovReport:
+class OovReport(NamedTuple):
     oov_word_rate: float
     oov_lemma_rate: float
     oov_ses_rate: float

@@ -291,6 +291,19 @@ def test_eval_names_the_gold_file_with_nothing_to_score(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {gold}: {message}\n"
 
 
+@pytest.mark.parametrize("granularity", ["word", "sentence"])
+def test_mcnemar_names_the_gold_file_with_nothing_to_score(tmp_path, capsys, granularity):
+    gold = tmp_path / "gold.conllu"
+    gold.write_text("1\tthe\t_\tDET\t_\t_\t_\t_\t_\t_\n\n", encoding="utf-8")
+    preds = [tmp_path / "a.tsv", tmp_path / "b.tsv"]
+    for pred in preds:
+        pred.write_text("the\tthe\n\n", encoding="utf-8")
+    argv = ["mcnemar", str(gold), *map(str, preds), "--granularity", granularity]
+    assert main(argv) == 2
+    message = "word accuracy over zero tokens is undefined"
+    assert capsys.readouterr().err == f"error: {gold}: {message}\n"
+
+
 # one sentence whose middle word has no lemma
 ABSENT_LEMMA_GOLD = (
     "1\tcats\tcat\tNOUN\t_\t_\t_\t_\t_\t_\n"

@@ -13,7 +13,6 @@ import io
 import itertools
 import json
 import tempfile
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -98,7 +97,7 @@ def reference(train_path: str, test_path: str, granularity: str, adjust: bool) -
         result = paired_mcnemar(
             gold, predictions[first], predictions[second], granularity, 0.05
         )
-        report["mcnemar"][f"{first}_vs_{second}"] = {"granularity": granularity, **asdict(result)}
+        report["mcnemar"][f"{first}_vs_{second}"] = {"granularity": granularity, **result._asdict()}
     return report
 
 
