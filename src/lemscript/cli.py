@@ -210,7 +210,8 @@ def _stats_row(scheme: Scheme, table: list, counts: list) -> dict[str, int]:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     gold = corpus_io.read_file(args.gold, _gold_words, args.adjust_propn)
-    right = corpus_io.read_file(args.pred, _right_flags, gold, args.pred, args.gold)
+    right = corpus_io.read_file(args.pred, _right_flags, gold, args.pred, args.gold,
+                                "word accuracy over zero tokens is undefined")
     # every lemmatized train form counts as seen; only that set is kept
     train_forms = None if not args.train else corpus_io.read_file(args.train, lambda lines: {
         c[1] for rows, _ in corpus_io.conllu_rows(lines) for c in rows if c[2] != "_"})
@@ -241,7 +242,8 @@ def cmd_mcnemar(args: argparse.Namespace) -> int:
     # per file, whether it gets each gold lemma, or each gold sentence, right
     outcomes = [
         itertools.chain.from_iterable(right) if args.granularity == "word" else map(all, right)
-        for right in [corpus_io.read_file(path, _right_flags, gold, path, args.gold)
+        for right in [corpus_io.read_file(path, _right_flags, gold, path, args.gold,
+                                          "no lemmatized token to pair")
                       for path in (args.pred_a, args.pred_b)]
     ]
     b, c = metrics.paired_counts(zip(itertools.repeat(1), *outcomes))
@@ -272,14 +274,14 @@ def _gold_words(lines: Iterable[str], adjust_propn: bool) -> list[tuple[list, li
 
 
 def _right_flags(
-    lines: Iterable[str], gold: list, path: str, gold_path: str
+    lines: Iterable[str], gold: list, path: str, gold_path: str, no_lemma: str
 ) -> list[bytearray]:
     """Per sentence of gold (read from gold_path), whether the predictions at
     path get each lemmatized word's lemma right. Each predicted sentence holds
     one form<TAB>lemma row per word or one per lemmatized word, and each row's
     form must be its word's. Of the faults, the first in this order is raised:
-    the row total, no gold lemma at all, the sentence count, a
-    sentence's row count, a form."""
+    the row total, no gold lemma at all (with the message no_lemma), the
+    sentence count, a sentence's row count, a form."""
     flags: list[bytearray] = []
     rows_total = 0
     count_fault = form_fault = None
@@ -306,7 +308,7 @@ def _right_flags(
     if rows_total not in (lemma_total, sum(len(forms) for _, forms, _ in gold)):
         raise LengthMismatch(f"{path}: {lemma_total} gold lemmas vs {rows_total} predictions")
     if not lemma_total:
-        raise EmptyEval(f"{gold_path}: word accuracy over zero tokens is undefined")
+        raise EmptyEval(f"{gold_path}: {no_lemma}")
     if len(flags) != len(gold):
         raise StructureMismatch(f"{path}: {len(gold)} gold sentences vs {len(flags)} predicted")
     if count_fault:

@@ -15,9 +15,9 @@ import re
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from . import schemes
-from .casing import CaseClass, char_class, shift_upper
+from .casing import LOWER, char_class, shift_upper
 from .errors import FormatError, LemscriptError
-from .model import Corpus, Scheme, Sentence, SesLabel, Token, _Value
+from .model import Corpus, Scheme, Sentence, SesLabel, Token, _Value, _setters
 
 T = TypeVar("T")
 
@@ -28,9 +28,12 @@ class LabeledToken(_Value):
     __slots__ = ("form", "gold_lemma", "label")
 
     def __init__(self, form: str, gold_lemma: str, label: SesLabel) -> None:
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "gold_lemma", gold_lemma)
-        object.__setattr__(self, "label", label)
+        _set_form(self, form)
+        _set_gold_lemma(self, gold_lemma)
+        _set_label(self, label)
+
+
+_set_form, _set_gold_lemma, _set_label = _setters(LabeledToken)
 
 
 class LabeledCorpus(NamedTuple):
@@ -175,7 +178,7 @@ def adjust_propn_lemmas(corpus: Corpus) -> Corpus:
 
 def propn_lemma(lemma: str | None, upos: str) -> str | None:
     """lemma, with a lowercase first character uppercased if upos is PROPN."""
-    if upos == "PROPN" and lemma and char_class(lemma[0]) is CaseClass.LOWER:
+    if upos == "PROPN" and lemma and char_class(lemma[0]) is LOWER:
         return shift_upper(lemma[0]) + lemma[1:]
     return lemma
 
@@ -217,6 +220,7 @@ def label_corpus(
 def label_pairs(scheme: Scheme, pairs: Iterable[tuple[str, str]]) -> list[LabeledToken | str]:
     """The verified LabeledToken of each distinct (form, lemma) pair, or why
     it fails: the CLI's labeling, through label_corpus's _label_pair."""
+    scheme = Scheme(scheme)
     labels: dict[str, SesLabel] = {}
     return [_label_pair(scheme, form, lemma, labels) for form, lemma in pairs]
 

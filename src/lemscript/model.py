@@ -5,6 +5,10 @@ between threads and processes. The per-row types (SesLabel, Token,
 Sentence, and corpus_io.LabeledToken) are slotted _Value classes: a
 NamedTuple instance takes one pointer more than a tuple of its fields,
 and a 3- or 4-field one 80 bytes against 64. The others are NamedTuples.
+A _Value's __init__ sets each slot through that slot descriptor's
+__set__, bound once per class by _setters into module globals: one call
+per field, where object.__setattr__(self, "name", value) pays a global
+lookup, an attribute lookup and a name check on top.
 """
 
 from __future__ import annotations
@@ -53,6 +57,11 @@ class _Value:
         return type(self), self._astuple()
 
 
+def _setters(cls: type) -> tuple:
+    """The __set__ of each of cls's slot descriptors, in slot order."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+
 class SesLabel(_Value):
     """A textual edit-script label tagged with its scheme."""
 
@@ -61,8 +70,8 @@ class SesLabel(_Value):
     def __init__(self, scheme: Scheme, text: str) -> None:
         if not text:
             raise ValueError("label text must be non-empty")
-        object.__setattr__(self, "scheme", scheme)
-        object.__setattr__(self, "text", text)
+        _set_scheme(self, scheme)
+        _set_text(self, text)
 
 
 class Token(_Value):
@@ -75,18 +84,23 @@ class Token(_Value):
         upos: str = "",            # universal POS tag, "" when absent
         index: int = 1,            # 1-based position within the sentence
     ) -> None:
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "lemma", lemma)
-        object.__setattr__(self, "upos", upos)
-        object.__setattr__(self, "index", index)
+        _set_form(self, form)
+        _set_lemma(self, lemma)
+        _set_upos(self, upos)
+        _set_index(self, index)
 
 
 class Sentence(_Value):
     __slots__ = ("tokens", "comments")
 
     def __init__(self, tokens: tuple[Token, ...], comments: tuple[str, ...] = ()) -> None:
-        object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "comments", comments)
+        _set_tokens(self, tokens)
+        _set_comments(self, comments)
+
+
+_set_scheme, _set_text = _setters(SesLabel)
+_set_form, _set_lemma, _set_upos, _set_index = _setters(Token)
+_set_tokens, _set_comments = _setters(Sentence)
 
 
 class Corpus(NamedTuple):

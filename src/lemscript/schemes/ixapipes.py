@@ -25,28 +25,29 @@ import re
 from functools import lru_cache
 
 from ..alignment import DELETE, INSERT, MATCH, REPLACE, levenshtein_align
-from ..casing import CaseClass, char_class, shift_lower
+from ..casing import UPPER, char_class, shift_lower
 from ..errors import CharMismatch, EmptyInput, IndexOutOfRange, ParseError, SchemeMismatch
 from ..model import Scheme, SesLabel
 
 IDENTITY = "O"
 LOWER_FLAG = "1"
+_SCHEME = Scheme.IXAPIPES
 
 
 def encode(form: str, lemma: str) -> SesLabel:
     if not form or not lemma:
         raise EmptyInput("form and lemma must be non-empty")
-    lower_first = char_class(form[0]) is CaseClass.UPPER and lemma[0] == shift_lower(form[0])
+    lower_first = char_class(form[0]) is UPPER and lemma[0] == shift_lower(form[0])
     base = shift_lower(form[0]) + form[1:] if lower_first else form
     if base == lemma:
-        return SesLabel(Scheme.IXAPIPES, LOWER_FLAG if lower_first else IDENTITY)
+        return SesLabel(_SCHEME, LOWER_FLAG if lower_first else IDENTITY)
 
     source = base[::-1]
     target = lemma[::-1]
     # walk the script backwards, so indices come in label order; the D or
     # R at an index waits until the inserts before it in the script, which
     # the label lists first, are out. The trailing MATCH run emits nothing
-    script = levenshtein_align(source, target, delete_before_replace=True)
+    script = levenshtein_align(source, target, True)  # delete_before_replace
     edits = script.rstrip(MATCH)
     tokens: list[str] = []
     pending = ""
@@ -69,11 +70,11 @@ def encode(form: str, lemma: str) -> SesLabel:
             pending = ""
     tokens.append(pending)
     text = "".join(tokens)
-    return SesLabel(Scheme.IXAPIPES, LOWER_FLAG + text if lower_first else text)
+    return SesLabel(_SCHEME, LOWER_FLAG + text if lower_first else text)
 
 
 def decode(form: str, label: SesLabel) -> str:
-    if label.scheme is not Scheme.IXAPIPES:
+    if label.scheme is not _SCHEME:
         raise SchemeMismatch(f"expected ixapipes label, got {label.scheme.value}")
     lower_first, tokens = parse_label(label.text)
     buffer = list(form)

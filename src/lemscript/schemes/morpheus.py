@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ..alignment import DELETE, INSERT, MATCH, REPLACE, levenshtein_align
-from ..casing import CaseClass, char_class, shift_lower
+from ..casing import UPPER, char_class, shift_lower
 from ..errors import ArityMismatch, EmptyInput, ParseError, SchemeMismatch
 from ..model import Scheme, SesLabel
 
@@ -32,13 +32,14 @@ SAME = "s"
 DEL = "d"
 LOWER = "l"
 REPLACE_MARK = "r_"
+_SCHEME = Scheme.MORPHEUS
 
 
 def encode(form: str, lemma: str) -> SesLabel:
     if not form or not lemma:
         raise EmptyInput("form and lemma must be non-empty")
     if form == lemma:
-        return SesLabel(Scheme.MORPHEUS, TOKEN_SEP.join(SAME * len(form)))
+        return SesLabel(_SCHEME, TOKEN_SEP.join(SAME * len(form)))
 
     # one token per consuming op; a token's payload collects the inserts
     # before it (leading run only), its own character and the inserts after.
@@ -74,11 +75,11 @@ def encode(form: str, lemma: str) -> SesLabel:
             j += 1
         i += 1
     parts.append(_token(op, form[-1], payload))
-    return SesLabel(Scheme.MORPHEUS, TOKEN_SEP.join(parts))
+    return SesLabel(_SCHEME, TOKEN_SEP.join(parts))
 
 
 def decode(form: str, label: SesLabel) -> str:
-    if label.scheme is not Scheme.MORPHEUS:
+    if label.scheme is not _SCHEME:
         raise SchemeMismatch(f"expected morpheus label, got {label.scheme.value}")
     tokens = parse_label(label.text)
     if len(tokens) != len(form):
@@ -123,7 +124,7 @@ def _token(op: str, form_char: str, payload: str) -> str:
         return DEL
     if (
         len(payload) == 1
-        and char_class(form_char) is CaseClass.UPPER
+        and char_class(form_char) is UPPER
         and payload == shift_lower(form_char)
     ):
         return LOWER

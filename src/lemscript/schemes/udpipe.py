@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ..alignment import DELETE, INSERT, MATCH, longest_common_substring, min_script_align
-from ..casing import CaseClass, fold_lower, fold_upper
+from ..casing import LOWER, UPPER, CaseClass, fold_lower, fold_upper
 from ..errors import EmptyInput, LengthMismatch, ParseError, SchemeMismatch
 from ..model import Scheme, SesLabel
 
@@ -40,8 +40,9 @@ INSERT_MARK = "+"
 ABSOLUTE_MARK = "a"
 RULE_MARK = ";d"
 
-_DIRECTIONS = {UP_MARK: CaseClass.UPPER, DOWN_MARK: CaseClass.LOWER}
-_LOWER_ONLY = ((CaseClass.LOWER, 0),)
+_DIRECTIONS = {UP_MARK: UPPER, DOWN_MARK: LOWER}
+_LOWER_ONLY = ((LOWER, 0),)
+_SCHEME = Scheme.UDPIPE
 
 
 def encode(form: str, lemma: str) -> SesLabel:
@@ -51,7 +52,7 @@ def encode(form: str, lemma: str) -> SesLabel:
     low_lemma = fold_lower(lemma)
     root = longest_common_substring(low_form, low_lemma)
     if root.length == 0:
-        return SesLabel(Scheme.UDPIPE, ABSOLUTE_MARK + lemma)
+        return SesLabel(_SCHEME, ABSOLUTE_MARK + lemma)
     head = low_lemma[: root.start_in_b]
     tail = low_lemma[root.start_in_b + root.length :]
     prefix = min_script_align(low_form[: root.start_in_a], head)
@@ -62,11 +63,11 @@ def encode(form: str, lemma: str) -> SesLabel:
         SCRIPT_SEP,
         _serialize_ops(suffix, tail),
     )
-    return SesLabel(Scheme.UDPIPE, text)
+    return SesLabel(_SCHEME, text)
 
 
 def decode(form: str, label: SesLabel) -> str:
-    if label.scheme is not Scheme.UDPIPE:
+    if label.scheme is not _SCHEME:
         raise SchemeMismatch(f"expected udpipe label, got {label.scheme.value}")
     absolute, segments, prefix_ops, suffix_ops, front, back = parse_label(label.text)
     if absolute is not None:
@@ -205,10 +206,10 @@ def _replay(ops: str, source: str) -> str:
 def _apply_casing(text: str, segments: tuple[tuple[CaseClass, int], ...]) -> str:
     if len(segments) == 1:
         direction = segments[0][0]
-        return fold_upper(text) if direction is CaseClass.UPPER else fold_lower(text)
+        return fold_upper(text) if direction is UPPER else fold_lower(text)
     parts = []
     for k, (direction, start) in enumerate(segments):
         end = segments[k + 1][1] if k + 1 < len(segments) else len(text)
         piece = text[start:end]
-        parts.append(fold_upper(piece) if direction is CaseClass.UPPER else fold_lower(piece))
+        parts.append(fold_upper(piece) if direction is UPPER else fold_lower(piece))
     return "".join(parts)

@@ -196,7 +196,7 @@ def test_mcnemar_matches_the_token_level_reference(gold, guesses, per_word, gran
         result = run(argv + (["--adjust-propn"] if adjust else []))
         lemmas = gold_lemmas(corpus(gold_path, adjust))
         if not any(lemmas):
-            message = "word accuracy over zero tokens is undefined"
+            message = "no lemmatized token to pair"
             assert result == (2, "", f"error: {gold_path}: {message}\n")
             return
         for path in paths:

@@ -282,3 +282,32 @@ def test_shared_ends_match_reference(prefix, left, right, suffix):
     # suffix's first character and the guard has to fall back
     assert_same_as_reference(prefix + left + suffix, prefix + right + suffix)
     assert_same_as_reference(prefix + right + suffix, prefix + left + suffix)
+
+
+# --- one side a prefix or a suffix of the other: the one-comparison trims
+
+def test_prefix_and_suffix_pair_fixtures():
+    assert levenshtein_align("cats", "cats") == "===="
+    assert levenshtein_align("cats", "c") == "=---"
+    assert min_script_align("c", "cats") == "=+++"
+    # the shorter side differs only at its last character: the
+    # per-character loop runs and stops there
+    assert levenshtein_align("abx", "abcd") == "==~+"
+    # one side a suffix of the other, with and without the guard's
+    # fallback: in "baa" to "a" the full walk matches the first "a",
+    # which the trimmed walk would delete
+    assert levenshtein_align("stac", "tac") == "-==="
+    assert levenshtein_align("baa", "a") == "-=-"
+    for word in ["a", "ab", "cats", "İıß", "abab"]:
+        for part in {word, word[:1], word[:-1], word[-1:], word[1:], ""}:
+            assert_same_as_reference(word, part)
+            assert_same_as_reference(part, word)
+
+
+@given(WORDS, st.data())
+def test_prefix_and_suffix_pairs_match_reference(word, data):
+    # equal strings, one-character and empty parts among the cuts
+    cut = data.draw(st.sampled_from([len(word), 1, 0]) | st.integers(0, len(word)))
+    for part in (word[:cut], word[cut:], data.draw(WORDS) + word[cut:]):
+        assert_same_as_reference(word, part)
+        assert_same_as_reference(part, word)

@@ -11,6 +11,7 @@ from lemscript.corpus_io import (
     LabeledToken,
     adjust_propn_lemmas,
     label_corpus,
+    label_pairs,
     parse_conllu,
     parse_labeled,
     propn_lemma,
@@ -225,6 +226,20 @@ def test_label_corpus_empty():
     labeled, failures = label_corpus(Corpus(), Scheme.MORPHEUS)
     assert labeled.sentences == ()
     assert failures == []
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_a_scheme_name_labels_as_its_member(scheme, comparison_corpus):
+    pairs = COMPARISON_PAIRS + FAILING
+    assert label_pairs(scheme.value, pairs) == label_pairs(scheme, pairs)
+    assert label_corpus(comparison_corpus, scheme.value) == label_corpus(comparison_corpus, scheme)
+
+
+def test_an_unknown_scheme_name_raises_value_error(comparison_corpus):
+    with pytest.raises(ValueError, match="'bogus' is not a valid Scheme"):
+        label_pairs("bogus", COMPARISON_PAIRS)
+    with pytest.raises(ValueError, match="'bogus' is not a valid Scheme"):
+        label_corpus(comparison_corpus, "bogus")
 
 
 def test_labeled_roundtrip(comparison_corpus):
