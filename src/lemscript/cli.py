@@ -7,16 +7,18 @@ line, and a file with nothing to train on or score, or an eval or
 mcnemar prediction file out of line with its gold file, is named. All
 reports are deterministic given identical inputs and flags; JSON output
 uses sorted keys. Commands that label under several schemes keep one
-scheme's labels, model and sets alive at a time. stats, train and
+scheme's labels, model and sets alive at a time. encode, stats, train and
 compare build no Token: they read each file once through the CoNLL-U row
 core into one table of distinct (form, lemma) pairs with each file's
-counts, and each scheme labels each pair once; only compare's sentence
-scores walk tokens again. eval and mcnemar build no Token either: they
-keep the gold file's word IDs, forms and lemmas, stream each prediction
-file against them, and score its right/wrong flags through the metrics
-count cores as compare does. eval --train keeps only the train file's
-lemmatized forms. decode writes rows as it decodes; predict streams the
-row core. An output file appears only on success, from a temporary
+counts and each sentence's pair ids, and each scheme labels each pair
+once. encode writes each sentence's rows from its pair ids and rereads
+its input only to name failed words; only compare's sentence scores walk
+tokens again. eval and mcnemar build no Token either: they keep the gold
+file's word IDs, forms and lemmas, stream each prediction file against
+them, and score its right/wrong flags through the metrics count cores as
+compare does. eval --train keeps only the train file's lemmatized forms.
+decode parses the whole labeled file before it writes; predict streams
+the row core. An output file appears only on success, from a temporary
 sibling. main() pauses the cyclic GC while its subcommand runs, since a
 run builds no per-token reference cycles, and then restores the caller's
 collector state; library functions never touch it.
@@ -40,7 +42,7 @@ from typing import IO, Iterable, Iterator, Sequence
 from . import baseline, corpus_io, metrics, schemes
 from .errors import EmptyCorpus, EmptyEval, FormatError, LemscriptError
 from .errors import LengthMismatch, StructureMismatch
-from .model import Corpus, Scheme
+from .model import Scheme
 
 ALL_SCHEMES = tuple(Scheme)
 
@@ -138,9 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    corpus = corpus_io.read_conllu(args.input)
-    if args.adjust_propn:
-        corpus = corpus_io.adjust_propn_lemmas(corpus)
+    table, _, ((rows, _),) = _read_pairs([args.input], args.adjust_propn)
     targets = ALL_SCHEMES if args.scheme == "all" else (Scheme(args.scheme),)
     if args.output == "-" and len(targets) > 1:
         print("error: '-' output needs a single --scheme", file=sys.stderr)
@@ -148,7 +148,18 @@ def cmd_encode(args: argparse.Namespace) -> int:
     failures: dict[str, list[dict[str, object]]] = {}
     for scheme in targets:
         path = args.output if len(targets) == 1 else _suffixed(args.output, scheme.value)
-        failures[scheme.value] = _encode_to(corpus, scheme, path)
+        labels = corpus_io.label_pairs(scheme, table)
+        with _open_out(path) as fp:
+            corpus_io.write_labeled(corpus_io.LabeledCorpus(scheme, (
+                [labels[i] for i in ids if not isinstance(labels[i], str)] for ids in rows)), fp)
+        # the pair table keeps no word IDs: only a failure reads the input again
+        failures[scheme.value] = [] if all(not isinstance(t, str) for t in labels) else \
+            corpus_io.read_file(args.input, lambda lines: [
+                corpus_io.LabelFailure(k, c[0], labels[i])._asdict()
+                for k, ((sentence, _), ids) in enumerate(zip(corpus_io.conllu_rows(lines), rows))
+                for c, i in zip([c for c in sentence if c[2] != "_"], ids)
+                if isinstance(labels[i], str)])
+        del labels  # one scheme's labels alive at a time
     if args.failures:
         # a single scheme gets the bare failure array
         _write_json(failures if len(targets) > 1 else failures[targets[0].value], args.failures)
@@ -157,13 +168,6 @@ def cmd_encode(args: argparse.Namespace) -> int:
         print(f"{total_failures} token(s) failed to encode", file=sys.stderr)
         return 1
     return 0
-
-
-def _encode_to(corpus: Corpus, scheme: Scheme, path: str) -> list[dict[str, object]]:
-    labeled, failures = corpus_io.label_corpus(corpus, scheme)
-    with _open_out(path) as fp:
-        corpus_io.write_labeled(labeled, fp)
-    return [f._asdict() for f in failures]
 
 
 def cmd_decode(args: argparse.Namespace) -> int:

@@ -190,51 +190,47 @@ def label_corpus(
 
     Tokens whose label does not reproduce the gold lemma are recorded as
     failures instead of being included. Tokens without a lemma are
-    skipped. Each distinct (form, lemma) pair goes through _label_pair
-    once, as in label_pairs; the finished LabeledToken, or the failure
-    reason, is cached and every repeat reuses it, and all labels of one
-    text share one SesLabel. The output has one row per input sentence.
+    skipped. The corpus's distinct (form, lemma) pairs go through
+    label_pairs once, and every token gets its pair's LabeledToken, or
+    its failure reason. The output has one row per input sentence.
     """
     scheme = Scheme(scheme)
-    cache: dict[tuple[str, str], LabeledToken | str] = {}
-    labels: dict[str, SesLabel] = {}
+    pairs = dict.fromkeys((tok.form, tok.lemma) for sentence in corpus.sentences
+                          for tok in sentence.tokens if tok.lemma is not None)
+    done = dict(zip(pairs, label_pairs(scheme, pairs)))
+    del pairs
     failures: list[LabelFailure] = []
     out: list[tuple[LabeledToken, ...]] = []
     for sent_idx, sentence in enumerate(corpus.sentences):
         row: list[LabeledToken] = []
         for tok in sentence.tokens:
-            if tok.lemma is None:
-                continue
-            key = (tok.form, tok.lemma)
-            hit = cache.get(key)
-            if hit is None:
-                hit = cache[key] = _label_pair(scheme, tok.form, tok.lemma, labels)
-            if isinstance(hit, str):
-                failures.append(LabelFailure(sent_idx, tok.index, hit))
-            else:
-                row.append(hit)
+            if tok.lemma is not None:
+                hit = done[tok.form, tok.lemma]
+                if isinstance(hit, str):
+                    failures.append(LabelFailure(sent_idx, tok.index, hit))
+                else:
+                    row.append(hit)
         out.append(tuple(row))
     return LabeledCorpus(scheme, tuple(out)), failures
 
 
 def label_pairs(scheme: Scheme, pairs: Iterable[tuple[str, str]]) -> list[LabeledToken | str]:
-    """The verified LabeledToken of each distinct (form, lemma) pair, or why
-    it fails: the CLI's labeling, through label_corpus's _label_pair."""
+    """The verified LabeledToken of each (form, lemma) pair, or why it fails:
+    the one place that encodes a pair and decodes its label back. Pairs that
+    reuse a label text share one SesLabel."""
     scheme = Scheme(scheme)
     labels: dict[str, SesLabel] = {}
-    return [_label_pair(scheme, form, lemma, labels) for form, lemma in pairs]
-
-
-def _label_pair(scheme: Scheme, form: str, lemma: str, labels: dict) -> LabeledToken | str:
-    """The verified LabeledToken of one pair, sharing labels[text], or why it fails."""
-    try:
-        label = schemes.encode(scheme, form, lemma)
-        decoded = schemes.decode(form, label)
-    except LemscriptError as exc:
-        return f"{type(exc).__name__}: {exc}"
-    if decoded != lemma:
-        return f"decoded to {decoded!r} instead of gold lemma"
-    return LabeledToken(form, lemma, labels.setdefault(label.text, label))
+    out: list[LabeledToken | str] = []
+    for form, lemma in pairs:
+        try:
+            label = schemes.encode(scheme, form, lemma)
+            decoded = schemes.decode(form, label)
+        except LemscriptError as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+            continue
+        out.append(LabeledToken(form, lemma, labels.setdefault(label.text, label))
+                   if decoded == lemma else f"decoded to {decoded!r} instead of gold lemma")
+    return out
 
 
 def write_labeled(labeled: LabeledCorpus, fp: IO[str]) -> None:

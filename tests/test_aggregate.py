@@ -1,12 +1,19 @@
-"""`lemscript stats`, `train`, `eval` and `mcnemar` against token-level references.
+"""`lemscript encode`, `stats`, `train`, `eval` and `mcnemar` against
+token-level references.
 
-stats and train read each file into compare's table of distinct (form,
-lemma) pairs and weight each pair by its token count; the references below
-parse a whole corpus with parse_conllu and label it token by token with
-label_corpus, so any difference in how counts stand for tokens shows up as
-different output. eval and mcnemar stream each prediction file against the
-gold file's words, in either prediction layout; their references score lemma
-lists against the parsed gold corpus with tests/reference.py.
+encode, stats and train read each file into compare's table of distinct
+(form, lemma) pairs; stats and train weight each pair by its token count,
+and encode writes each sentence's rows from its pair ids. The references
+below parse a whole corpus with parse_conllu and label it token by token
+with label_corpus, so any difference in how counts or ids stand for
+tokens shows up as different output. eval and mcnemar stream each
+prediction file against the gold file's words, in either prediction
+layout; their references score lemma lists against the parsed gold
+corpus with tests/reference.py.
+
+Every property runs main() in process and has no Hypothesis deadline: a
+slow example would fail the default 200 ms one, which checks nothing of
+lemscript.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lemscript import baseline, corpus_io, metrics
@@ -68,6 +75,7 @@ def stats_reference(path: str, adjust: bool, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+@settings(deadline=None)
 @given(document=DOCUMENTS, adjust=st.booleans(), fmt=FORMATS)
 def test_stats_matches_the_token_level_reference(document, adjust, fmt):
     with tempfile.TemporaryDirectory() as tmp:
@@ -77,6 +85,39 @@ def test_stats_matches_the_token_level_reference(document, adjust, fmt):
         assert run(["stats", path, *flags]) == (0, stats_reference(path, adjust, fmt), "")
 
 
+@settings(deadline=None)
+@given(document=DOCUMENTS, adjust=st.booleans(), scheme=st.sampled_from(["all", *Scheme]),
+       to_stdout=st.booleans())
+def test_encode_matches_the_token_level_reference(document, adjust, scheme, to_stdout):
+    targets = list(Scheme) if scheme == "all" else [scheme]
+    to_stdout = to_stdout and scheme != "all"
+    with tempfile.TemporaryDirectory() as tmp:
+        path, report = str(Path(tmp, "data.conllu")), Path(tmp, "failures.json")
+        Path(path).write_text(conllu(document), encoding="utf-8")
+        out = "-" if to_stdout else str(Path(tmp, "labeled.tsv"))
+        argv = ["encode", path, out, "--scheme", getattr(scheme, "value", scheme)]
+        argv += ["--failures", str(report)] + (["--adjust-propn"] if adjust else [])
+        code, stdout, err = run(argv)
+        gold, tsvs, failures = corpus(path, adjust), {}, {}
+        for target in targets:
+            labeled, failed = corpus_io.label_corpus(gold, target)
+            corpus_io.write_labeled(labeled, tsvs.setdefault(target.value, io.StringIO()))
+            failures[target.value] = [f._asdict() for f in failed]
+        payload = failures if scheme == "all" else failures[scheme.value]
+        total = sum(map(len, failures.values()))
+        warning = f"{total} token(s) failed to encode\n" if total else ""
+        assert (code, err) == (1 if total else 0, warning)
+        assert json.loads(report.read_text(encoding="utf-8")) == payload
+        if to_stdout:
+            assert stdout == tsvs[scheme.value].getvalue()
+            return
+        names = {t: "labeled.tsv" if len(targets) == 1 else f"labeled.{t}.tsv" for t in tsvs}
+        assert stdout == ""
+        assert {t: Path(tmp, name).read_text(encoding="utf-8") for t, name in names.items()} == {
+            t: buf.getvalue() for t, buf in tsvs.items()}
+
+
+@settings(deadline=None)
 @given(document=DOCUMENTS, adjust=st.booleans(), scheme=st.sampled_from(list(Scheme)))
 def test_train_matches_the_token_level_reference(document, adjust, scheme):
     with tempfile.TemporaryDirectory() as tmp:
@@ -140,6 +181,7 @@ def eval_reference(gold_path, pred_path, pred, train_path, adjust, fmt) -> tuple
 GUESSES = st.lists(st.sampled_from(["cat", "cats", "Paris", "paris", "do", ""]), min_size=1)
 
 
+@settings(deadline=None)
 @given(
     train=DOCUMENTS,
     gold=DOCUMENTS,
@@ -177,6 +219,7 @@ def mcnemar_text(result: dict, fmt: str) -> str:
     )
 
 
+@settings(deadline=None)
 @given(
     gold=DOCUMENTS,
     guesses=st.tuples(GUESSES, GUESSES),

@@ -227,6 +227,38 @@ def test_encode_all_to_stdout_is_rejected(comparison_file, capsys):
     assert "single --scheme" in capsys.readouterr().err
 
 
+# IDs 5, 7 and 9 with a multiword range and an empty node between them; a
+# sentence with no lemmatized word; an empty LEMMA column, which no scheme encodes
+SPARSE_IDS = (
+    "# sent 0\n"
+    "5\tcats\tcat\tNOUN\t_\t_\t_\t_\t_\t_\n"
+    "6-7\tdon't\t_\t_\t_\t_\t_\t_\t_\t_\n"
+    "7\tdid\tdo\tVERB\t_\t_\t_\t_\t_\t_\n"
+    "7.1\tgone\tgo\tVERB\t_\t_\t_\t_\t_\t_\n"
+    "9\tParis\t\tPROPN\t_\t_\t_\t_\t_\t_\n\n"
+    "1\tthe\t_\tDET\t_\t_\t_\t_\t_\t_\n\n"
+    "1\tparis\tparis\tPROPN\t_\t_\t_\t_\t_\t_\n"
+    "2\tCats\t\tNOUN\t_\t_\t_\t_\t_\t_\n\n"
+)
+
+
+@pytest.mark.parametrize("adjust, paris", [([], "paris\tparis\t↓0;d¦"),
+                                           (["--adjust-propn"], "paris\tParis\t↑0¦↓1;d¦")])
+def test_encode_names_each_failing_word_by_sentence_and_id(tmp_path, capsys, adjust, paris):
+    data, report = tmp_path / "sparse.conllu", tmp_path / "failures.json"
+    data.write_text(SPARSE_IDS, encoding="utf-8")
+    argv = ["encode", str(data), "-", "--scheme", "udpipe", "--failures", str(report)]
+    assert main(argv + adjust) == 1
+    out, err = capsys.readouterr()
+    assert out == f"cats\tcat\t↓0;d¦-\ndid\tdo\t↓0;d¦--+o\n\n\n{paris}\n\n"
+    assert err == "2 token(s) failed to encode\n"
+    reason = "EmptyInput: form and lemma must be non-empty"
+    assert json.loads(report.read_text(encoding="utf-8")) == [
+        {"reason": reason, "sentence_index": 0, "token_index": 9},
+        {"reason": reason, "sentence_index": 2, "token_index": 2},
+    ]
+
+
 def test_compare_train_equals_test(tmp_path):
     train = tmp_path / "train.conllu"
     train.write_text(TWO_TOKEN_TRAIN, encoding="utf-8")
@@ -571,16 +603,15 @@ def test_each_scheme_labels_with_no_earlier_scheme_alive(tmp_path, monkeypatch, 
     (tmp_path / "test.conllu").write_text(conllu_text(test), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     live = []
-    # compare and stats label the distinct pairs through label_pairs, one
-    # LabeledToken each; encode labels a corpus through label_corpus
-    name = "label_corpus" if argv[0] == "encode" else "label_pairs"
-    label = getattr(corpus_io, name)
+    # every command labels the distinct pairs through label_pairs, one
+    # LabeledToken each
+    label = corpus_io.label_pairs
 
-    def counting(corpus, scheme):
+    def counting(scheme, pairs):
         live.append(sum(type(o) is corpus_io.LabeledToken for o in gc.get_objects()))
-        return label(corpus, scheme)
+        return label(scheme, pairs)
 
-    monkeypatch.setattr(corpus_io, name, counting)
+    monkeypatch.setattr(corpus_io, "label_pairs", counting)
     assert main(argv) == 0
     assert len(live) == 3
     assert live[1] == live[0] and live[2] == live[0], live

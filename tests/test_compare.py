@@ -16,7 +16,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lemscript import baseline, corpus_io, metrics
@@ -101,6 +101,9 @@ def reference(train_path: str, test_path: str, granularity: str, adjust: bool) -
     return report
 
 
+# main() runs in process: a slow example would fail Hypothesis's default
+# 200 ms deadline, which checks nothing of lemscript
+@settings(deadline=None)
 @given(
     train=DOCUMENTS,
     test=DOCUMENTS,
