@@ -9,14 +9,15 @@ reports are deterministic given identical inputs and flags; JSON output
 uses sorted keys. Commands that label under several schemes keep one
 scheme's labels, model and sets alive at a time. encode, stats, train and
 compare build no Token: they read each file once through the CoNLL-U row
-core into one table of distinct (form, lemma) pairs with each file's
-counts and each sentence's pair ids, and each scheme labels each pair
-once. encode writes each sentence's rows from its pair ids and rereads
-its input only to name failed words; only compare's sentence scores walk
-tokens again. eval and mcnemar build no Token either: they keep the gold
-file's word IDs, forms and lemmas, stream each prediction file against
-them, and score its right/wrong flags through the metrics count cores as
-compare does. eval --train keeps only the train file's lemmatized forms.
+core into one table of distinct (form, lemma) pairs with each sentence's
+pair ids, and each scheme labels each pair once. stats, train and compare
+weigh each pair by its count in each file; encode writes each sentence's
+rows from its pair ids and names failed words by the word IDs it kept.
+Only compare's sentence scores walk tokens again. eval and mcnemar build
+no Token either: they keep the gold file's word IDs, forms and lemmas,
+stream each prediction file against them, and score its right/wrong
+flags through the metrics count cores as compare does. eval --train
+keeps only the train file's lemmatized forms.
 decode parses the whole labeled file before it writes; predict streams
 the row core. An output file appears only on success, from a temporary
 sibling. main() pauses the cyclic GC while its subcommand runs, since a
@@ -140,7 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    table, _, ((rows, _),) = _read_pairs([args.input], args.adjust_propn)
+    pairs: dict[tuple[str, str], int] = {}
+    words: list[int] = []  # each lemmatized word's ID in file order, to name failures
+    rows, _ = corpus_io.read_file(args.input, _pair_ids, pairs, args.adjust_propn, words)
+    table = _pair_table(pairs)
+    del pairs
     targets = ALL_SCHEMES if args.scheme == "all" else (Scheme(args.scheme),)
     if args.output == "-" and len(targets) > 1:
         print("error: '-' output needs a single --scheme", file=sys.stderr)
@@ -152,13 +157,13 @@ def cmd_encode(args: argparse.Namespace) -> int:
         with _open_out(path) as fp:
             corpus_io.write_labeled(corpus_io.LabeledCorpus(scheme, (
                 [labels[i] for i in ids if not isinstance(labels[i], str)] for ids in rows)), fp)
-        # the pair table keeps no word IDs: only a failure reads the input again
-        failures[scheme.value] = [] if all(not isinstance(t, str) for t in labels) else \
-            corpus_io.read_file(args.input, lambda lines: [
-                corpus_io.LabelFailure(k, c[0], labels[i])._asdict()
-                for k, ((sentence, _), ids) in enumerate(zip(corpus_io.conllu_rows(lines), rows))
-                for c, i in zip([c for c in sentence if c[2] != "_"], ids)
-                if isinstance(labels[i], str)])
+        failed = failures[scheme.value] = []
+        word_ids = iter(words)
+        for k, ids in enumerate(rows):
+            for i in ids:
+                word = next(word_ids)
+                if isinstance(labels[i], str):
+                    failed.append(corpus_io.LabelFailure(k, word, labels[i])._asdict())
         del labels  # one scheme's labels alive at a time
     if args.failures:
         # a single scheme gets the bare failure array
@@ -353,20 +358,28 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _read_pairs(paths: Sequence[str], adjust_propn: bool) -> tuple[list, list, list]:
-    """The distinct lemmatized (form, lemma) pairs of CoNLL-U files, one string per
-    distinct value; each file's token count per pair id; and each file's _pair_ids."""
+    """The _pair_table of CoNLL-U files, each file's token count per pair id,
+    and each file's _pair_ids."""
     pairs: dict[tuple[str, str], int] = {}  # each distinct pair -> its id
     read = [corpus_io.read_file(path, _pair_ids, pairs, adjust_propn) for path in paths]
-    share = {}.setdefault
-    table = [(share(form, form), share(lemma, lemma)) for form, lemma in pairs]
-    del pairs, share
+    table = _pair_table(pairs)
+    del pairs
     found = (Counter(itertools.chain.from_iterable(rows)) for rows, _ in read)
     return table, [array("i", map(n.__getitem__, range(len(table)))) for n in found], read
 
 
-def _pair_ids(lines: Iterable[str], pairs: dict, adjust_propn: bool) -> tuple[list[array], int]:
+def _pair_table(pairs: dict) -> list[tuple[str, str]]:
+    """The distinct (form, lemma) pairs in id order, one string per distinct value."""
+    share = {}.setdefault
+    return [(share(form, form), share(lemma, lemma)) for form, lemma in pairs]
+
+
+def _pair_ids(
+    lines: Iterable[str], pairs: dict, adjust_propn: bool, words: list | None = None
+) -> tuple[list[array], int]:
     """Each sentence's lemmatized tokens as ids into pairs, which grows in
-    first-seen order, and the number of tokens read."""
+    first-seen order, and the number of tokens read. words, if given, gets
+    each lemmatized word's ID, in file order."""
     rows, tokens = [], 0
     new = pairs.setdefault
     for sentence, _ in corpus_io.conllu_rows(lines):
@@ -374,6 +387,8 @@ def _pair_ids(lines: Iterable[str], pairs: dict, adjust_propn: bool) -> tuple[li
         ids = [new((c[1], corpus_io.propn_lemma(c[2], c[3]) if adjust_propn else c[2]),
                    len(pairs)) for c in sentence if c[2] != "_"]
         rows.append(array("i", ids))
+        if words is not None:
+            words.extend([c[0] for c in sentence if c[2] != "_"])
     return rows, tokens
 
 

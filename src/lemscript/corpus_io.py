@@ -190,26 +190,27 @@ def label_corpus(
 
     Tokens whose label does not reproduce the gold lemma are recorded as
     failures instead of being included. Tokens without a lemma are
-    skipped. The corpus's distinct (form, lemma) pairs go through
-    label_pairs once, and every token gets its pair's LabeledToken, or
-    its failure reason. The output has one row per input sentence.
+    skipped. Each token's (form, lemma) pair gets an id in one pass, the
+    distinct pairs go through label_pairs once, and every token gets its
+    pair's LabeledToken; only a sentence with a failure walks its tokens
+    again, for their indices. The output has one row per input sentence.
     """
     scheme = Scheme(scheme)
-    pairs = dict.fromkeys((tok.form, tok.lemma) for sentence in corpus.sentences
-                          for tok in sentence.tokens if tok.lemma is not None)
-    done = dict(zip(pairs, label_pairs(scheme, pairs)))
+    pairs: dict[tuple[str, str], int] = {}  # each distinct pair -> its id
+    new = pairs.setdefault
+    rows = [[new((tok.form, tok.lemma), len(pairs)) for tok in sentence.tokens
+             if tok.lemma is not None] for sentence in corpus.sentences]
+    labels = label_pairs(scheme, pairs)
     del pairs
     failures: list[LabelFailure] = []
     out: list[tuple[LabeledToken, ...]] = []
-    for sent_idx, sentence in enumerate(corpus.sentences):
-        row: list[LabeledToken] = []
-        for tok in sentence.tokens:
-            if tok.lemma is not None:
-                hit = done[tok.form, tok.lemma]
-                if isinstance(hit, str):
-                    failures.append(LabelFailure(sent_idx, tok.index, hit))
-                else:
-                    row.append(hit)
+    for sent_idx, (sentence, ids) in enumerate(zip(corpus.sentences, rows)):
+        row = [labels[i] for i in ids]
+        if str in map(type, row):
+            lemmatized = [tok for tok in sentence.tokens if tok.lemma is not None]
+            failures += [LabelFailure(sent_idx, tok.index, hit)
+                         for tok, hit in zip(lemmatized, row) if isinstance(hit, str)]
+            row = [hit for hit in row if not isinstance(hit, str)]
         out.append(tuple(row))
     return LabeledCorpus(scheme, tuple(out)), failures
 
@@ -228,8 +229,10 @@ def label_pairs(scheme: Scheme, pairs: Iterable[tuple[str, str]]) -> list[Labele
         except LemscriptError as exc:
             out.append(f"{type(exc).__name__}: {exc}")
             continue
-        out.append(LabeledToken(form, lemma, labels.setdefault(label.text, label))
-                   if decoded == lemma else f"decoded to {decoded!r} instead of gold lemma")
+        if decoded == lemma:
+            out.append(LabeledToken(form, lemma, labels.setdefault(label.text, label)))
+        else:
+            out.append(f"decoded to {decoded!r} instead of gold lemma")
     return out
 
 

@@ -4,6 +4,9 @@ import gc
 import json
 import os
 import stat
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -252,6 +255,33 @@ def test_encode_names_each_failing_word_by_sentence_and_id(tmp_path, capsys, adj
     out, err = capsys.readouterr()
     assert out == f"cats\tcat\t↓0;d¦-\ndid\tdo\t↓0;d¦--+o\n\n\n{paris}\n\n"
     assert err == "2 token(s) failed to encode\n"
+    reason = "EmptyInput: form and lemma must be non-empty"
+    assert json.loads(report.read_text(encoding="utf-8")) == [
+        {"reason": reason, "sentence_index": 0, "token_index": 9},
+        {"reason": reason, "sentence_index": 2, "token_index": 2},
+    ]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_encode_reads_a_pipe_once_and_names_its_failures(tmp_path):
+    # a pipe can be read once: the failing words must be named from that read
+    data, report = tmp_path / "sparse.conllu", tmp_path / "failures.json"
+    os.mkfifo(data)
+    writer = threading.Thread(target=data.write_text, args=(SPARSE_IDS,),
+                              kwargs={"encoding": "utf-8"}, daemon=True)
+    writer.start()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    argv = ["encode", str(data), "-", "--scheme", "udpipe", "--failures", str(report)]
+    child = subprocess.Popen([sys.executable, "-m", "lemscript.cli", *argv], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        out, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+        if writer.is_alive():  # the child never opened the pipe: let the writer go
+            os.close(os.open(data, os.O_RDONLY | os.O_NONBLOCK))
+    assert (child.returncode, err) == (1, "2 token(s) failed to encode\n")
+    assert out == "cats\tcat\t↓0;d¦-\ndid\tdo\t↓0;d¦--+o\n\n\nparis\tparis\t↓0;d¦\n\n"
     reason = "EmptyInput: form and lemma must be non-empty"
     assert json.loads(report.read_text(encoding="utf-8")) == [
         {"reason": reason, "sentence_index": 0, "token_index": 9},
