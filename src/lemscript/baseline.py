@@ -5,6 +5,9 @@ evaluate loop runs end to end. Prediction backs off to the corpus-wide
 most frequent label for unseen forms, and to the identity lemma when a
 label cannot be applied to the word at all; those decode failures are
 counted, never raised.
+
+predict_rows streams the CLI's predict, holding the model, the distinct
+forms with their finished rows, and one sentence.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from types import SimpleNamespace
 from typing import IO, Iterable, NamedTuple
 
 from . import schemes
-from .corpus_io import LabeledCorpus, LabeledToken
+from .corpus_io import LabeledCorpus, LabeledToken, conllu_rows
 from .errors import EmptyCorpus, FormatError
 from .model import Corpus, Scheme, SesLabel
 
@@ -94,6 +97,29 @@ def predict_forms(model: BaselineModel, forms: Iterable[str]) -> dict[str, tuple
     """(lemma, used_fallback, decode_failed) for each distinct form, each predicted once."""
     labels: dict[str, SesLabel] = {}
     return {form: _predict(model, form, labels) for form in dict.fromkeys(forms)}
+
+
+def predict_rows(lines: Iterable[str], model: BaselineModel, out: IO[str]) -> int:
+    """Write form<TAB>lemma rows sentence by sentence as they are read, each
+    distinct form predicted once; return how many got the identity lemma."""
+    labels: dict = {}
+    rows: dict[str, str] = {}  # form -> its finished row
+    fell_back: set[str] = set()  # the forms whose label failed to decode
+    failures = 0
+    for sentence, _ in conllu_rows(lines):
+        text = []
+        for cols in sentence:
+            form = cols[1]
+            row = rows.get(form)
+            if row is None:
+                lemma, _, failed = _predict(model, form, labels)
+                row = rows[form] = f"{form}\t{lemma}\n"
+                if failed:
+                    fell_back.add(form)
+            text.append(row)
+            failures += form in fell_back
+        out.write("".join(text) + "\n")
+    return failures
 
 
 def save_model(model: BaselineModel, fp: IO[str]) -> None:

@@ -1,25 +1,17 @@
-"""Command-line interface.
+"""Command-line interface: argument parsing, the order of stage calls,
+reports and exit codes.
 
 Subcommands: encode, decode, stats, eval, mcnemar, compare, train,
-predict. Exit codes: 0 success, 1 contract failure (encode failures
-present), 2 usage, I/O or input error; input errors name the file and
-line, and a file with nothing to train on or score, or an eval or
-mcnemar prediction file out of line with its gold file, is named. All
-reports are deterministic given identical inputs and flags; JSON output
-uses sorted keys. Commands that label under several schemes keep one
-scheme's labels, model and sets alive at a time. encode, stats, train and
-compare build no Token: they read each file once through the CoNLL-U row
-core into one table of distinct (form, lemma) pairs with each sentence's
-pair ids, and each scheme labels each pair once. stats, train and compare
-weigh each pair by its count in each file; encode writes each sentence's
-rows from its pair ids and names failed words by the word IDs it kept.
-Only compare's sentence scores walk tokens again. eval and mcnemar build
-no Token either: they keep the gold file's word IDs, forms and lemmas,
-stream each prediction file against them, and score its right/wrong
-flags through the metrics count cores as compare does. eval --train
-keeps only the train file's lemmatized forms.
-decode parses the whole labeled file before it writes; predict streams
-the row core. An output file appears only on success, from a temporary
+predict. Each reads its files through the stages of corpus_io and baseline
+and scores through the metrics count cores, calling every stage through
+its module attribute; this module reads no file's lines itself. Exit
+codes: 0 success, 1 contract failure (encode failures present), 2 usage,
+I/O or input error; input errors name the file and line, and a file with
+nothing to train on or score, or an eval or mcnemar prediction file out
+of line with its gold file, is named. All reports are deterministic given
+identical inputs and flags; JSON output uses sorted keys. Commands that
+label under several schemes keep one scheme's labels, model and sets
+alive at a time. An output file appears only on success, from a temporary
 sibling. main() pauses the cyclic GC while its subcommand runs, since a
 run builds no per-token reference cycles, and then restores the caller's
 collector state; library functions never touch it.
@@ -36,13 +28,11 @@ import json
 import os
 import sys
 from array import array
-from collections import Counter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterator, Sequence
 
-from . import baseline, corpus_io, metrics, schemes
-from .errors import EmptyCorpus, EmptyEval, FormatError, LemscriptError
-from .errors import LengthMismatch, StructureMismatch
+from . import baseline, corpus_io, metrics
+from .errors import EmptyCorpus, EmptyEval, LemscriptError
 from .model import Scheme
 
 ALL_SCHEMES = tuple(Scheme)
@@ -143,9 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_encode(args: argparse.Namespace) -> int:
     pairs: dict[tuple[str, str], int] = {}
     words: list[int] = []  # each lemmatized word's ID in file order, to name failures
-    rows, _ = corpus_io.read_file(args.input, _pair_ids, pairs, args.adjust_propn, words)
-    table = _pair_table(pairs)
+    rows, _ = corpus_io.read_file(args.input, corpus_io.pair_ids, pairs, args.adjust_propn, words)
+    table = corpus_io.pair_table(pairs)
     del pairs
+    # where each sentence's word IDs start in words
+    starts = array("q", itertools.accumulate(map(len, rows), initial=0))
     targets = ALL_SCHEMES if args.scheme == "all" else (Scheme(args.scheme),)
     if args.output == "-" and len(targets) > 1:
         print("error: '-' output needs a single --scheme", file=sys.stderr)
@@ -154,16 +146,11 @@ def cmd_encode(args: argparse.Namespace) -> int:
     for scheme in targets:
         path = args.output if len(targets) == 1 else _suffixed(args.output, scheme.value)
         labels = corpus_io.label_pairs(scheme, table)
+        failed: list[corpus_io.LabelFailure] = []
         with _open_out(path) as fp:
-            corpus_io.write_labeled(corpus_io.LabeledCorpus(scheme, (
-                [labels[i] for i in ids if not isinstance(labels[i], str)] for ids in rows)), fp)
-        failed = failures[scheme.value] = []
-        word_ids = iter(words)
-        for k, ids in enumerate(rows):
-            for i in ids:
-                word = next(word_ids)
-                if isinstance(labels[i], str):
-                    failed.append(corpus_io.LabelFailure(k, word, labels[i])._asdict())
+            corpus_io.write_labeled(corpus_io.LabeledCorpus(scheme, corpus_io.labeled_rows(
+                labels, rows, lambda k: words[starts[k]:starts[k + 1]], failed)), fp)
+        failures[scheme.value] = [failure._asdict() for failure in failed]
         del labels  # one scheme's labels alive at a time
     if args.failures:
         # a single scheme gets the bare failure array
@@ -176,22 +163,15 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    labeled = corpus_io.read_file(args.input, corpus_io.parse_labeled, Scheme(args.scheme))
-    warnings = 0
     with _open_out(args.output) as out:
-        for sentence in labeled.sentences:
-            for tok in sentence:
-                lemma, failed = schemes.decode_or_form(tok.form, tok.label)
-                warnings += failed
-                out.write(f"{tok.form}\t{lemma}\n")
-            out.write("\n")
+        warnings = corpus_io.read_file(args.input, corpus_io.decode_rows, Scheme(args.scheme), out)
     if warnings:
         print(f"{warnings} label(s) failed to decode; identity lemma used", file=sys.stderr)
     return 0
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    table, counts, ((rows, tokens),) = _read_pairs([args.input], args.adjust_propn)
+    table, counts, ((rows, tokens),) = corpus_io.read_pairs([args.input], args.adjust_propn)
     report: dict[str, object] = {
         "token_total": tokens,
         "sentence_total": len(rows),
@@ -209,7 +189,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _stats_row(scheme: Scheme, table: list, counts: list) -> dict[str, int]:
-    (labeled,), failures = _labeled_counts(scheme, table, counts)
+    (labeled,), failures = corpus_io.labeled_counts(scheme, table, counts)
     return {
         "unique_labels": len({tok.label.text for tok, _ in labeled}),
         "labeled_tokens": sum(n for _, n in labeled),
@@ -218,12 +198,12 @@ def _stats_row(scheme: Scheme, table: list, counts: list) -> dict[str, int]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    gold = corpus_io.read_file(args.gold, _gold_words, args.adjust_propn)
-    right = corpus_io.read_file(args.pred, _right_flags, gold, args.pred, args.gold,
+    gold = corpus_io.read_file(args.gold, corpus_io.gold_words, args.adjust_propn)
+    right = corpus_io.read_file(args.pred, corpus_io.right_flags, gold, args.pred, args.gold,
                                 "word accuracy over zero tokens is undefined")
     # every lemmatized train form counts as seen; only that set is kept
-    train_forms = None if not args.train else corpus_io.read_file(args.train, lambda lines: {
-        c[1] for rows, _ in corpus_io.conllu_rows(lines) for c in rows if c[2] != "_"})
+    train_forms = None if not args.train else corpus_io.read_file(
+        args.train, corpus_io.lemmatized_forms)
     seen = train_forms or ()
     rows = zip(itertools.repeat(1), itertools.chain.from_iterable(right), (
         form in seen for _, forms, lemmas in gold
@@ -247,11 +227,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_mcnemar(args: argparse.Namespace) -> int:
-    gold = corpus_io.read_file(args.gold, _gold_words, args.adjust_propn)
+    gold = corpus_io.read_file(args.gold, corpus_io.gold_words, args.adjust_propn)
     # per file, whether it gets each gold lemma, or each gold sentence, right
     outcomes = [
         itertools.chain.from_iterable(right) if args.granularity == "word" else map(all, right)
-        for right in [corpus_io.read_file(path, _right_flags, gold, path, args.gold,
+        for right in [corpus_io.read_file(path, corpus_io.right_flags, gold, path, args.gold,
                                           "no lemmatized token to pair")
                       for path in (args.pred_a, args.pred_b)]
     ]
@@ -269,67 +249,9 @@ def cmd_mcnemar(args: argparse.Namespace) -> int:
     return 0
 
 
-def _gold_words(lines: Iterable[str], adjust_propn: bool) -> list[tuple[list, list, list]]:
-    """Each gold sentence's word IDs, forms and lemmas (None for "_"), with
-    one string per distinct form or lemma."""
-    share = {}.setdefault
-    return [(
-        [c[0] for c in rows],
-        [share(c[1], c[1]) for c in rows],
-        [None if c[2] == "_" else share(
-            lemma := corpus_io.propn_lemma(c[2], c[3]) if adjust_propn else c[2], lemma)
-         for c in rows],
-    ) for rows, _ in corpus_io.conllu_rows(lines)]
-
-
-def _right_flags(
-    lines: Iterable[str], gold: list, path: str, gold_path: str, no_lemma: str
-) -> list[bytearray]:
-    """Per sentence of gold (read from gold_path), whether the predictions at
-    path get each lemmatized word's lemma right. Each predicted sentence holds
-    one form<TAB>lemma row per word or one per lemmatized word, and each row's
-    form must be its word's. Of the faults, the first in this order is raised:
-    the row total, no gold lemma at all (with the message no_lemma), the
-    sentence count, a sentence's row count, a form."""
-    flags: list[bytearray] = []
-    rows_total = 0
-    count_fault = form_fault = None
-    for rows in corpus_io._tsv_sentences(lines, 2):
-        rows_total += len(rows)
-        k = len(flags)
-        flags.append(right := bytearray())
-        if k >= len(gold):
-            continue
-        ids, forms, lemmas = gold[k]
-        words = zip(ids, forms, lemmas)
-        if len(rows) != len(forms):
-            words = [word for word in words if word[2] is not None]
-            if len(rows) != len(words) and count_fault is None:
-                count_fault = (f"sentence {k}: {len(words)} gold lemmas "
-                               f"in {len(forms)} words vs {len(rows)} predicted")
-        for (lineno, (form, lemma)), (word_id, gold_form, gold_lemma) in zip(rows, words):
-            if form != gold_form and form_fault is None:
-                form_fault = FormatError(lineno, f"form {form!r}, {gold_path} sentence {k} "
-                                         f"word {word_id} has {gold_form!r}")
-            if gold_lemma is not None:
-                right.append(lemma == gold_lemma)
-    lemma_total = sum(len(lemmas) - lemmas.count(None) for _, _, lemmas in gold)
-    if rows_total not in (lemma_total, sum(len(forms) for _, forms, _ in gold)):
-        raise LengthMismatch(f"{path}: {lemma_total} gold lemmas vs {rows_total} predictions")
-    if not lemma_total:
-        raise EmptyEval(f"{gold_path}: {no_lemma}")
-    if len(flags) != len(gold):
-        raise StructureMismatch(f"{path}: {len(gold)} gold sentences vs {len(flags)} predicted")
-    if count_fault:
-        raise StructureMismatch(f"{path}: {count_fault}")
-    if form_fault:
-        raise form_fault
-    return flags
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     report: dict[str, object] = {"schemes": {}, "mcnemar": {}}
-    table, counts, read = _read_pairs((args.train, args.test), args.adjust_propn)
+    table, counts, read = corpus_io.read_pairs((args.train, args.test), args.adjust_propn)
     for key, (ids, tokens) in zip(("train", "test"), read):
         report[key] = {"path": getattr(args, key), "tokens": tokens, "sentences": len(ids)}
     test_ids = read.pop()[0]  # only the test sentences are walked again
@@ -357,55 +279,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_pairs(paths: Sequence[str], adjust_propn: bool) -> tuple[list, list, list]:
-    """The _pair_table of CoNLL-U files, each file's token count per pair id,
-    and each file's _pair_ids."""
-    pairs: dict[tuple[str, str], int] = {}  # each distinct pair -> its id
-    read = [corpus_io.read_file(path, _pair_ids, pairs, adjust_propn) for path in paths]
-    table = _pair_table(pairs)
-    del pairs
-    found = (Counter(itertools.chain.from_iterable(rows)) for rows, _ in read)
-    return table, [array("i", map(n.__getitem__, range(len(table)))) for n in found], read
-
-
-def _pair_table(pairs: dict) -> list[tuple[str, str]]:
-    """The distinct (form, lemma) pairs in id order, one string per distinct value."""
-    share = {}.setdefault
-    return [(share(form, form), share(lemma, lemma)) for form, lemma in pairs]
-
-
-def _pair_ids(
-    lines: Iterable[str], pairs: dict, adjust_propn: bool, words: list | None = None
-) -> tuple[list[array], int]:
-    """Each sentence's lemmatized tokens as ids into pairs, which grows in
-    first-seen order, and the number of tokens read. words, if given, gets
-    each lemmatized word's ID, in file order."""
-    rows, tokens = [], 0
-    new = pairs.setdefault
-    for sentence, _ in corpus_io.conllu_rows(lines):
-        tokens += len(sentence)
-        ids = [new((c[1], corpus_io.propn_lemma(c[2], c[3]) if adjust_propn else c[2]),
-                   len(pairs)) for c in sentence if c[2] != "_"]
-        rows.append(array("i", ids))
-        if words is not None:
-            words.extend([c[0] for c in sentence if c[2] != "_"])
-    return rows, tokens
-
-
-def _labeled_counts(scheme: Scheme, table: list, counts: list) -> tuple[list[list], int]:
-    """Label each distinct pair once; per file, the (LabeledToken, count) rows
-    of its pairs that labeled, and the tokens of all files that did not."""
-    labels = corpus_io.label_pairs(scheme, table)
-    failed = sum(n for ns in counts for tok, n in zip(labels, ns) if isinstance(tok, str))
-    return [[(tok, n) for tok, n in zip(labels, ns) if n and not isinstance(tok, str)]
-            for ns in counts], failed
-
-
 def _compare_scheme(scheme: Scheme, table: list, counts: list, test_ids: list) -> tuple:
     """One scheme's report row, which test pairs (by id) and which test
     sentences it gets right. Only the sentence hits walk the tokens; the
     rest walks the distinct pairs with their train and test counts."""
-    (train, test), failures = _labeled_counts(scheme, table, counts)
+    (train, test), failures = corpus_io.labeled_counts(scheme, table, counts)
     n_test = counts[1]
     model = baseline.train_counts(scheme, train)
     # only the train forms that labeled successfully count as seen
@@ -464,8 +342,8 @@ def _compare_text(report: dict) -> str:
 
 def cmd_train(args: argparse.Namespace) -> int:
     scheme = Scheme(args.scheme)
-    table, counts = _read_pairs([args.input], args.adjust_propn)[:2]
-    (labeled,), failures = _labeled_counts(scheme, table, counts)
+    table, counts = corpus_io.read_pairs([args.input], args.adjust_propn)[:2]
+    (labeled,), failures = corpus_io.labeled_counts(scheme, table, counts)
     try:
         model = baseline.train_counts(scheme, labeled)
     except EmptyCorpus as exc:
@@ -480,33 +358,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     model = corpus_io.read_file(args.model, baseline.load_model)
     with _open_out(args.output) as out:
-        failures = corpus_io.read_file(args.input, _predict_rows, model, out)
+        failures = corpus_io.read_file(args.input, baseline.predict_rows, model, out)
     if failures:
         print(f"{failures} prediction(s) fell back to the identity lemma", file=sys.stderr)
     return 0
-
-
-def _predict_rows(lines: Iterable[str], model: baseline.BaselineModel, out: IO[str]) -> int:
-    """Write form<TAB>lemma rows sentence by sentence as they are read, each
-    distinct form predicted once; return how many got the identity lemma."""
-    labels: dict = {}
-    rows: dict[str, str] = {}  # form -> its finished row
-    fell_back: set[str] = set()  # the forms whose label failed to decode
-    failures = 0
-    for sentence, _ in corpus_io.conllu_rows(lines):
-        text = []
-        for cols in sentence:
-            form = cols[1]
-            row = rows.get(form)
-            if row is None:
-                lemma, _, failed = baseline._predict(model, form, labels)
-                row = rows[form] = f"{form}\t{lemma}\n"
-                if failed:
-                    fell_back.add(form)
-            text.append(row)
-            failures += form in fell_back
-        out.write("".join(text) + "\n")
-    return failures
 
 
 def _scheme_flag(p: argparse.ArgumentParser, allow_all: bool) -> None:

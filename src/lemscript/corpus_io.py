@@ -7,23 +7,33 @@ ID is a format error. A LEMMA of "_" is treated as absent. Labeled
 datasets serialize as 3-column TSV (form<TAB>gold_lemma<TAB>label) and
 lemma predictions as 2-column TSV (form<TAB>lemma), each with a blank
 line after each sentence.
+
+The CLI reads every file through the stages below, and none builds a
+Token. read_pairs reads CoNLL-U files once each into one table of distinct
+(form, lemma) pairs, each sentence's pair ids and each file's token count
+per pair, and labeled_counts labels each pair once and weighs it by its
+counts. right_flags streams a prediction file against gold_words, and
+decode_rows writes each labeled row as it reads it.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar
+from array import array
+from collections import Counter
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from . import schemes
 from .casing import LOWER, char_class, shift_upper
-from .errors import FormatError, LemscriptError
+from .errors import EmptyEval, FormatError, LemscriptError, LengthMismatch, StructureMismatch
 from .model import Corpus, Scheme, Sentence, SesLabel, Token, _Value, _setters
 
 T = TypeVar("T")
 
 
 class LabeledToken(_Value):
-    """One labeled row; slotted, not a NamedTuple, since decode holds one per row."""
+    """One labeled row, slotted: parse_labeled and label_corpus hold one per row."""
 
     __slots__ = ("form", "gold_lemma", "label")
 
@@ -191,9 +201,9 @@ def label_corpus(
     Tokens whose label does not reproduce the gold lemma are recorded as
     failures instead of being included. Tokens without a lemma are
     skipped. Each token's (form, lemma) pair gets an id in one pass, the
-    distinct pairs go through label_pairs once, and every token gets its
-    pair's LabeledToken; only a sentence with a failure walks its tokens
-    again, for their indices. The output has one row per input sentence.
+    distinct pairs go through label_pairs once, and labeled_rows gives
+    every token its pair's LabeledToken. The output has one row per input
+    sentence.
     """
     scheme = Scheme(scheme)
     pairs: dict[tuple[str, str], int] = {}  # each distinct pair -> its id
@@ -203,16 +213,26 @@ def label_corpus(
     labels = label_pairs(scheme, pairs)
     del pairs
     failures: list[LabelFailure] = []
-    out: list[tuple[LabeledToken, ...]] = []
-    for sent_idx, (sentence, ids) in enumerate(zip(corpus.sentences, rows)):
+    sentences = tuple(labeled_rows(labels, rows, lambda k: [
+        tok.index for tok in corpus.sentences[k].tokens if tok.lemma is not None], failures))
+    return LabeledCorpus(scheme, sentences), failures
+
+
+def labeled_rows(
+    labels: Sequence[LabeledToken | str], rows: Iterable[Sequence[int]],
+    words: Callable[[int], Iterable[int]], failures: list[LabelFailure],
+) -> Iterator[tuple[LabeledToken, ...]]:
+    """Each sentence's LabeledTokens, from its pair ids in rows and the
+    label_pairs result labels. A pair that failed appends a LabelFailure
+    to failures; words(k) gives sentence k's lemmatized word IDs and is
+    called only for a sentence with a failure."""
+    for k, ids in enumerate(rows):
         row = [labels[i] for i in ids]
         if str in map(type, row):
-            lemmatized = [tok for tok in sentence.tokens if tok.lemma is not None]
-            failures += [LabelFailure(sent_idx, tok.index, hit)
-                         for tok, hit in zip(lemmatized, row) if isinstance(hit, str)]
+            failures += [LabelFailure(k, word, hit)
+                         for word, hit in zip(words(k), row) if isinstance(hit, str)]
             row = [hit for hit in row if not isinstance(hit, str)]
-        out.append(tuple(row))
-    return LabeledCorpus(scheme, tuple(out)), failures
+        yield tuple(row)
 
 
 def label_pairs(scheme: Scheme, pairs: Iterable[tuple[str, str]]) -> list[LabeledToken | str]:
@@ -236,6 +256,50 @@ def label_pairs(scheme: Scheme, pairs: Iterable[tuple[str, str]]) -> list[Labele
     return out
 
 
+def read_pairs(paths: Sequence[str], adjust_propn: bool) -> tuple[list, list, list]:
+    """The pair_table of CoNLL-U files, each file's token count per pair id,
+    and each file's pair_ids."""
+    pairs: dict[tuple[str, str], int] = {}  # each distinct pair -> its id
+    read = [read_file(path, pair_ids, pairs, adjust_propn) for path in paths]
+    table = pair_table(pairs)
+    del pairs
+    found = (Counter(itertools.chain.from_iterable(rows)) for rows, _ in read)
+    return table, [array("i", map(n.__getitem__, range(len(table)))) for n in found], read
+
+
+def pair_table(pairs: dict) -> list[tuple[str, str]]:
+    """The distinct (form, lemma) pairs in id order, one string per distinct value."""
+    share = {}.setdefault
+    return [(share(form, form), share(lemma, lemma)) for form, lemma in pairs]
+
+
+def pair_ids(
+    lines: Iterable[str], pairs: dict, adjust_propn: bool, words: list | None = None
+) -> tuple[list[array], int]:
+    """Each sentence's lemmatized tokens as ids into pairs, which grows in
+    first-seen order, and the number of tokens read. words, if given, gets
+    each lemmatized word's ID, in file order."""
+    rows, tokens = [], 0
+    new = pairs.setdefault
+    for sentence, _ in conllu_rows(lines):
+        tokens += len(sentence)
+        ids = [new((c[1], propn_lemma(c[2], c[3]) if adjust_propn else c[2]),
+                   len(pairs)) for c in sentence if c[2] != "_"]
+        rows.append(array("i", ids))
+        if words is not None:
+            words.extend([c[0] for c in sentence if c[2] != "_"])
+    return rows, tokens
+
+
+def labeled_counts(scheme: Scheme, table: list, counts: list) -> tuple[list[list], int]:
+    """Label each distinct pair once; per file, the (LabeledToken, count) rows
+    of its pairs that labeled, and the tokens of all files that did not."""
+    labels = label_pairs(scheme, table)
+    failed = sum(n for ns in counts for tok, n in zip(labels, ns) if isinstance(tok, str))
+    return [[(tok, n) for tok, n in zip(labels, ns) if n and not isinstance(tok, str)]
+            for ns in counts], failed
+
+
 def write_labeled(labeled: LabeledCorpus, fp: IO[str]) -> None:
     for sentence in labeled.sentences:
         for tok in sentence:
@@ -254,6 +318,91 @@ def parse_labeled(lines: Iterable[str], scheme: Scheme) -> LabeledCorpus:
             row.append(LabeledToken(form, lemma, SesLabel(scheme, label_text)))
         sentences.append(tuple(row))
     return LabeledCorpus(scheme, tuple(sentences))
+
+
+def decode_rows(lines: Iterable[str], scheme: Scheme, out: IO[str]) -> int:
+    """Write a form<TAB>lemma row for each labeled TSV row as it is read: the
+    row's label applied to its form, or the form itself when the label does
+    not apply. Return how many rows fell back so. Rows that repeat a label
+    text share one SesLabel; an empty label is a FormatError."""
+    scheme = Scheme(scheme)
+    labels: dict[str, SesLabel] = {}
+    failures = 0
+    for rows in _tsv_sentences(lines, 3):
+        for lineno, (form, _, text) in rows:
+            label = labels.get(text)
+            if label is None:
+                if not text:
+                    raise FormatError(lineno, "empty label column")
+                label = labels[text] = SesLabel(scheme, text)
+            lemma, failed = schemes.decode_or_form(form, label)
+            failures += failed
+            out.write(f"{form}\t{lemma}\n")
+        out.write("\n")
+    return failures
+
+
+def gold_words(lines: Iterable[str], adjust_propn: bool) -> list[tuple[list, list, list]]:
+    """Each gold sentence's word IDs, forms and lemmas (None for "_"), with
+    one string per distinct form or lemma."""
+    share = {}.setdefault
+    return [(
+        [c[0] for c in rows],
+        [share(c[1], c[1]) for c in rows],
+        [None if c[2] == "_" else share(
+            lemma := propn_lemma(c[2], c[3]) if adjust_propn else c[2], lemma)
+         for c in rows],
+    ) for rows, _ in conllu_rows(lines)]
+
+
+def right_flags(
+    lines: Iterable[str], gold: list, path: str, gold_path: str, no_lemma: str
+) -> list[bytearray]:
+    """Per sentence of gold (read from gold_path), whether the predictions at
+    path get each lemmatized word's lemma right. Each predicted sentence holds
+    one form<TAB>lemma row per word or one per lemmatized word, and each row's
+    form must be its word's. Of the faults, the first in this order is raised:
+    the row total, no gold lemma at all (with the message no_lemma), the
+    sentence count, a sentence's row count, a form."""
+    flags: list[bytearray] = []
+    rows_total = 0
+    count_fault = form_fault = None
+    for rows in _tsv_sentences(lines, 2):
+        rows_total += len(rows)
+        k = len(flags)
+        flags.append(right := bytearray())
+        if k >= len(gold):
+            continue
+        ids, forms, lemmas = gold[k]
+        words = zip(ids, forms, lemmas)
+        if len(rows) != len(forms):
+            words = [word for word in words if word[2] is not None]
+            if len(rows) != len(words) and count_fault is None:
+                count_fault = (f"sentence {k}: {len(words)} gold lemmas "
+                               f"in {len(forms)} words vs {len(rows)} predicted")
+        for (lineno, (form, lemma)), (word_id, gold_form, gold_lemma) in zip(rows, words):
+            if form != gold_form and form_fault is None:
+                form_fault = FormatError(lineno, f"form {form!r}, {gold_path} sentence {k} "
+                                         f"word {word_id} has {gold_form!r}")
+            if gold_lemma is not None:
+                right.append(lemma == gold_lemma)
+    lemma_total = sum(len(lemmas) - lemmas.count(None) for _, _, lemmas in gold)
+    if rows_total not in (lemma_total, sum(len(forms) for _, forms, _ in gold)):
+        raise LengthMismatch(f"{path}: {lemma_total} gold lemmas vs {rows_total} predictions")
+    if not lemma_total:
+        raise EmptyEval(f"{gold_path}: {no_lemma}")
+    if len(flags) != len(gold):
+        raise StructureMismatch(f"{path}: {len(gold)} gold sentences vs {len(flags)} predicted")
+    if count_fault:
+        raise StructureMismatch(f"{path}: {count_fault}")
+    if form_fault:
+        raise form_fault
+    return flags
+
+
+def lemmatized_forms(lines: Iterable[str]) -> set[str]:
+    """The forms of a CoNLL-U document's lemmatized words."""
+    return {c[1] for rows, _ in conllu_rows(lines) for c in rows if c[2] != "_"}
 
 
 def _tsv_sentences(lines: Iterable[str], columns: int) -> Iterator[list[tuple[int, list[str]]]]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import gc
 import json
 import os
@@ -11,7 +12,7 @@ import threading
 import pytest
 
 from conftest import COMPARISON_CONLLU, COMPARISON_LABELS, COMPARISON_PAIRS
-from lemscript import corpus_io
+from lemscript import baseline, cli, corpus_io
 from lemscript.cli import main
 from synth import make_stems, synthetic_corpus
 
@@ -487,35 +488,50 @@ def test_prediction_row_without_lemma_is_rejected(tmp_path, comparison_file, cap
     assert f"error: {pred}:3: expected 2 tab-separated columns, got 1" in capsys.readouterr().err
 
 
-# --- predict's output appears only on success -----------------------------
+# --- predict's and decode's output appears only on success -------------------
+
+LABELED_SENTENCE = "dogs\tdog\t↓0;d¦-\nhorses\thorse\t↓0;d¦-\n\n"
 
 
 @pytest.mark.parametrize(
-    "last, message",
+    "command, last, message",
     [
-        (b"2\tbirds\tbird\tNOUN\t_\t_\t_\t_\t_\n", "expected 10 tab-separated columns, got 9"),
-        (b"2\tb\xffrds\tbird\tNOUN\t_\t_\t_\t_\t_\t_\n", "not UTF-8"),
+        ("predict", b"2\tbirds\tbird\tNOUN\t_\t_\t_\t_\t_\n",
+         "expected 10 tab-separated columns, got 9"),
+        ("predict", b"2\tb\xffrds\tbird\tNOUN\t_\t_\t_\t_\t_\t_\n", "not UTF-8"),
+        ("decode", b"birds\tbird\t\n", "empty label column"),
+        ("decode", b"birds\tbird\n", "expected 3 tab-separated columns, got 2"),
+        ("decode", b"b\xffrds\tbird\t" + "↓0;d¦-\n".encode(), "not UTF-8"),
     ],
-    ids=["nine-columns", "non-utf8"],
+    ids=["nine-columns", "non-utf8", "decode-empty-label", "decode-two-columns",
+         "decode-non-utf8"],
 )
 @pytest.mark.parametrize("output", ["new", "existing", "-"])
 def test_predict_fault_in_the_last_sentence_leaves_no_output(
-    tmp_path, capsys, last, message, output
+    tmp_path, capsys, command, last, message, output
 ):
-    train = tmp_path / "train.conllu"
-    train.write_text(TWO_TOKEN_TRAIN, encoding="utf-8")
-    model = tmp_path / "model.json"
-    assert main(["train", str(train), str(model), "--scheme", "udpipe"]) == 0
-    test = tmp_path / "test.conllu"
+    if command == "predict":
+        train = tmp_path / "train.conllu"
+        train.write_text(TWO_TOKEN_TRAIN, encoding="utf-8")
+        model = tmp_path / "model.json"
+        assert main(["train", str(train), str(model), "--scheme", "udpipe"]) == 0
+        test = tmp_path / "test.conllu"
+        good, first = GENERALIZATION_TEST, ROW
+    else:
+        test = tmp_path / "test.tsv"
+        good, first = LABELED_SENTENCE, "cats\tcat\t↓0;d¦-\n"
     # three good sentences of three lines each, then a good row and the faulty one
-    test.write_bytes(GENERALIZATION_TEST.encode() * 3 + ROW.encode() + last + b"\n")
+    test.write_bytes(good.encode() * 3 + first.encode() + last + b"\n")
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     pred = out_dir / "pred.tsv"
     if output == "existing":
         pred.write_bytes(b"an earlier prediction\n")
     capsys.readouterr()
-    assert main(["predict", str(model), str(test), "-" if output == "-" else str(pred)]) == 2
+    target = "-" if output == "-" else str(pred)
+    argv = ([command, str(model), str(test), target] if command == "predict"
+            else [command, str(test), target, "--scheme", "udpipe"])
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {test}:11: {message}")
     assert captured.out == ""
@@ -645,3 +661,67 @@ def test_each_scheme_labels_with_no_earlier_scheme_alive(tmp_path, monkeypatch, 
     assert main(argv) == 0
     assert len(live) == 3
     assert live[1] == live[0] and live[2] == live[0], live
+
+
+# --- cli is a shell over public stages --------------------------------------
+
+
+def test_cli_reads_no_lines_and_uses_no_private_name():
+    tree = ast.parse(open(cli.__file__, encoding="utf-8").read())
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+               for alias in node.names}
+    assert {"baseline", "corpus_io", "metrics"} <= modules
+    private = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id in modules and node.attr.startswith("_")]
+    private += [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+    readers = [getattr(node, "name", "lambda") for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.Lambda))
+               and "lines" in [a.arg for a in node.args.posonlyargs + node.args.args
+                               + node.args.kwonlyargs]]
+    assert readers == []
+
+
+STAGES = [(corpus_io, name) for name in (
+    "read_pairs", "pair_ids", "pair_table", "label_pairs", "labeled_counts", "labeled_rows",
+    "gold_words", "right_flags", "lemmatized_forms", "decode_rows")] + [(baseline, "predict_rows")]
+PAIR_STAGES = {"read_pairs", "pair_ids", "pair_table", "label_pairs", "labeled_counts"}
+
+
+@pytest.mark.parametrize(
+    "argv, stages",
+    [
+        (["compare", "pairs.conllu", "pairs.conllu", "--out", "report.json"], PAIR_STAGES),
+        (["train", "pairs.conllu", "model.json", "--scheme", "udpipe"], PAIR_STAGES),
+        (["stats", "pairs.conllu"], PAIR_STAGES),
+        (["encode", "pairs.conllu", "labeled.tsv", "--scheme", "udpipe"],
+         {"pair_ids", "pair_table", "label_pairs", "labeled_rows"}),
+        (["eval", "pairs.conllu", "lemmas.tsv", "--train", "pairs.conllu"],
+         {"gold_words", "right_flags", "lemmatized_forms"}),
+        (["mcnemar", "pairs.conllu", "lemmas.tsv", "lemmas.tsv"], {"gold_words", "right_flags"}),
+        (["predict", "model.json", "pairs.conllu", "pred.tsv"], {"predict_rows"}),
+        (["decode", "labeled.tsv", "lemmas.tsv", "--scheme", "udpipe"], {"decode_rows"}),
+    ],
+    ids=["compare", "train", "stats", "encode", "eval-train", "mcnemar", "predict", "decode"],
+)
+def test_each_command_calls_its_stages_at_their_module_attributes(
+    tmp_path, monkeypatch, capsys, argv, stages
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pairs.conllu").write_text(COMPARISON_CONLLU, encoding="utf-8")
+    assert main(["encode", "pairs.conllu", "labeled.tsv", "--scheme", "udpipe"]) == 0
+    assert main(["decode", "labeled.tsv", "lemmas.tsv", "--scheme", "udpipe"]) == 0
+    assert main(["train", "pairs.conllu", "model.json", "--scheme", "udpipe"]) == 0
+    called = set()
+    for module, name in STAGES:
+        def counting(*args, _stage=getattr(module, name), _name=name):
+            called.add(_name)
+            return _stage(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    assert main(argv) == 0
+    assert called == stages
