@@ -409,13 +409,16 @@ def _open_out(path: str) -> Iterator[IO[str]]:
         else:
             Path(path).write_text(buffer.getvalue(), encoding="utf-8")
         return
-    path = os.path.realpath(path)  # replace a symlink's target, not the link
-    temp = f"{path}.{os.getpid()}.tmp"
-    fp = open(temp, "x", encoding="utf-8")
+    target = os.path.realpath(path)  # replace a symlink's target, not the link
+    temp = f"{target}.{os.getpid()}.tmp"
+    try:
+        fp = open(temp, "x", encoding="utf-8")
+    except OSError as exc:  # name the output as given, not its temporary file
+        raise OSError(f"{path}: {exc.strerror}") from None
     try:
         with fp:
             yield fp
-        os.replace(temp, path)
+        os.replace(temp, target)
     except BaseException:
         os.unlink(temp)
         raise

@@ -14,9 +14,9 @@ reversed character order so sequential application lands them correctly.
 "O" means the word is already its lemma; a leading "1" means the first
 character of the surface word is lowercased before the edits run.
 
-parse_label is the memoized parse that decode applies: it keeps the plans
-of the 128 most recently used label texts, so a repeated label only pays
-for its apply step. A plan is (lower_first, ((kind, index, chars), ...)).
+A label fresh from encode is applied from the plan encode built for it;
+any other goes through parse_label, which keeps the plans of the 128 most
+recently used texts. A plan is (lower_first, ((kind, index, chars), ...)).
 """
 
 from __future__ import annotations
@@ -32,51 +32,65 @@ from ..model import Scheme, SesLabel
 IDENTITY = "O"
 LOWER_FLAG = "1"
 _SCHEME = Scheme.IXAPIPES
+_handed: tuple = (None, None)  # (text, plan) of the last label encode wrote
 
 
 def encode(form: str, lemma: str) -> SesLabel:
     if not form or not lemma:
         raise EmptyInput("form and lemma must be non-empty")
+    global _handed
     lower_first = char_class(form[0]) is UPPER and lemma[0] == shift_lower(form[0])
     base = shift_lower(form[0]) + form[1:] if lower_first else form
     if base == lemma:
-        return SesLabel(_SCHEME, LOWER_FLAG if lower_first else IDENTITY)
+        text = LOWER_FLAG if lower_first else IDENTITY
+        _handed = text, (lower_first, ())
+        return SesLabel(_SCHEME, text)
 
     source = base[::-1]
     target = lemma[::-1]
     # walk the script backwards, so indices come in label order; the D or
     # R at an index waits until the inserts before it in the script, which
-    # the label lists first, are out. The trailing MATCH run emits nothing
+    # the label lists first, are out. The trailing MATCH run emits nothing.
+    # tokens gets the (kind, index, chars) parse_label reads from each part
     script = levenshtein_align(source, target, True)  # delete_before_replace
     edits = script.rstrip(MATCH)
-    tokens: list[str] = []
+    parts: list[str] = []
+    tokens: list[tuple[str, int, str]] = []
     pending = ""
     pos = len(source) - len(script) + len(edits)
     j = len(target) - len(script) + len(edits)
     for op in reversed(edits):
         if op == INSERT:
             j -= 1
-            tokens.append(f"I{pos}{target[j]}")
+            parts.append(f"I{pos}{target[j]}")
+            tokens.append(("I", pos, target[j]))
             continue
-        tokens.append(pending)
+        if pending:
+            parts.append(pending)
+            tokens.append(token)
         pos -= 1
         if op == DELETE:
-            pending = f"D{pos}{source[pos]}"
+            pending, token = f"D{pos}{source[pos]}", ("D", pos, source[pos])
         elif op == REPLACE:
             j -= 1
-            pending = f"R{pos}{source[pos]}{target[j]}"
+            pending, token = f"R{pos}{source[pos]}{target[j]}", ("R", pos, source[pos] + target[j])
         else:
             j -= 1
             pending = ""
-    tokens.append(pending)
-    text = "".join(tokens)
-    return SesLabel(_SCHEME, LOWER_FLAG + text if lower_first else text)
+    if pending:
+        parts.append(pending)
+        tokens.append(token)
+    text = "".join(parts)
+    text = LOWER_FLAG + text if lower_first else text
+    _handed = text, (lower_first, tuple(tokens))
+    return SesLabel(_SCHEME, text)
 
 
 def decode(form: str, label: SesLabel) -> str:
     if label.scheme is not _SCHEME:
         raise SchemeMismatch(f"expected ixapipes label, got {label.scheme.value}")
-    lower_first, tokens = parse_label(label.text)
+    handed, text = _handed, label.text  # one read: another thread may encode
+    lower_first, tokens = handed[1] if text == handed[0] else parse_label(text)
     buffer = list(form)
     if lower_first and buffer:
         buffer[0] = shift_lower(buffer[0])

@@ -13,9 +13,11 @@ payload, a preceding delete becomes a plain replace, and a run at the
 very start is prepended into the first token. A replace that merely
 lowercases its character is re-labelled "l".
 
-parse_label is the memoized parse that decode applies: it keeps the plans
-of the 128 most recently used label texts, so a repeated label only pays
-for its apply step. A plan is ((kind, payload), ...), one pair per token.
+A label fresh from encode is applied from the plan encode built for it;
+any other goes through parse_label, which keeps the plans of the 128 most
+recently used label texts. A plan is ((kind, payload), ...), one pair per
+token. encode hands over no plan when the lemma holds a "|", which a
+payload would carry into the text as a token separator.
 """
 
 from __future__ import annotations
@@ -33,26 +35,33 @@ DEL = "d"
 LOWER = "l"
 REPLACE_MARK = "r_"
 _SCHEME = Scheme.MORPHEUS
+_PLAIN_TOKENS = {kind: (kind, "") for kind in (SAME, DEL, LOWER)}
+_SAME, _DEL, _LOWER = _PLAIN_TOKENS.values()
+_handed: tuple = (None, None)  # (text, plan) of the last label encode wrote
 
 
 def encode(form: str, lemma: str) -> SesLabel:
     if not form or not lemma:
         raise EmptyInput("form and lemma must be non-empty")
+    global _handed
     if form == lemma:
-        return SesLabel(_SCHEME, TOKEN_SEP.join(SAME * len(form)))
+        text = TOKEN_SEP.join(SAME * len(form))
+        _handed = text, (_SAME,) * len(form)
+        return SesLabel(_SCHEME, text)
 
     # one token per consuming op; a token's payload collects the inserts
     # before it (leading run only), its own character and the inserts after.
-    # A leading MATCH run of k is k - 1 SAME tokens and a pending MATCH
+    # A leading MATCH run of k is k - 1 SAME tokens and a pending MATCH.
+    # tokens gets the (kind, payload) pair parse_label reads from each part
     script = levenshtein_align(form, lemma)
     edits = script.lstrip(MATCH)
     i = j = len(script) - len(edits)  # next form and lemma characters
+    parts = [SAME] * (i - 1)  # empty when i is 0
+    tokens = [_SAME] * (i - 1)
     if i:
-        parts = [SAME] * (i - 1)
         op = MATCH
         payload = form[i - 1]
     else:
-        parts = []
         op = None
         payload = ""
     for step in edits:
@@ -62,9 +71,12 @@ def encode(form: str, lemma: str) -> SesLabel:
             continue
         if op == MATCH and len(payload) == 1:  # the form's own character
             parts.append(SAME)
+            tokens.append(_SAME)
             payload = ""
         elif op is not None:
-            parts.append(_token(op, form[i - 1], payload))
+            part, token = _token(op, form[i - 1], payload)
+            parts.append(part)
+            tokens.append(token)
             payload = ""
         op = step
         if op == MATCH:
@@ -74,14 +86,20 @@ def encode(form: str, lemma: str) -> SesLabel:
             payload += lemma[j]
             j += 1
         i += 1
-    parts.append(_token(op, form[-1], payload))
-    return SesLabel(_SCHEME, TOKEN_SEP.join(parts))
+    part, token = _token(op, form[-1], payload)
+    parts.append(part)
+    tokens.append(token)
+    text = TOKEN_SEP.join(parts)
+    if TOKEN_SEP not in lemma:  # else a "|" in a payload splits its token in the text
+        _handed = text, tuple(tokens)
+    return SesLabel(_SCHEME, text)
 
 
 def decode(form: str, label: SesLabel) -> str:
     if label.scheme is not _SCHEME:
         raise SchemeMismatch(f"expected morpheus label, got {label.scheme.value}")
-    tokens = parse_label(label.text)
+    handed, text = _handed, label.text  # one read: another thread may encode
+    tokens = handed[1] if text == handed[0] else parse_label(text)
     if len(tokens) != len(form):
         raise ArityMismatch(
             f"label has {len(tokens)} tokens for a {len(form)}-character wordform"
@@ -96,9 +114,6 @@ def decode(form: str, label: SesLabel) -> str:
             out.append(payload)
         # DEL emits nothing
     return "".join(out)
-
-
-_PLAIN_TOKENS = {kind: (kind, "") for kind in (SAME, DEL, LOWER)}
 
 
 @lru_cache(maxsize=128)
@@ -117,15 +132,15 @@ def parse_label(text: str) -> tuple[tuple[str, str], ...]:
     return tuple(tokens)
 
 
-def _token(op: str, form_char: str, payload: str) -> str:
+def _token(op: str, form_char: str, payload: str) -> tuple[str, tuple[str, str]]:
     if op == MATCH and payload == form_char:
-        return SAME
+        return SAME, _SAME
     if op == DELETE and not payload:
-        return DEL
+        return DEL, _DEL
     if (
         len(payload) == 1
         and char_class(form_char) is UPPER
         and payload == shift_lower(form_char)
     ):
-        return LOWER
-    return REPLACE_MARK + payload
+        return LOWER, _LOWER
+    return REPLACE_MARK + payload, ("r", payload)

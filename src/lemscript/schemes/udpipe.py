@@ -16,10 +16,10 @@ minimize the serialized script length (insert costs 2 characters, copy
 and delete cost 1). Casing segments index positions in the lemma; each
 segment re-cases characters from its start up to the next segment.
 
-parse_label is the memoized parse that decode applies: it keeps the plans
-of the 128 most recently used label texts, so a repeated label only pays
-for its apply step. A plan is (absolute, segments, prefix ops, suffix ops,
-front, back), with the ops as serialized strings.
+A label fresh from encode is applied from the plan encode built for it;
+any other goes through parse_label, which keeps the plans of the 128 most
+recently used label texts. A plan is (absolute, segments, prefix ops,
+suffix ops, front, back), with the ops as serialized strings.
 """
 
 from __future__ import annotations
@@ -42,34 +42,38 @@ RULE_MARK = ";d"
 
 _DIRECTIONS = {UP_MARK: UPPER, DOWN_MARK: LOWER}
 _LOWER_ONLY = ((LOWER, 0),)
+_handed: tuple = (None, None)  # (text, plan) of the last label encode wrote
 _SCHEME = Scheme.UDPIPE
 
 
 def encode(form: str, lemma: str) -> SesLabel:
     if not form or not lemma:
         raise EmptyInput("form and lemma must be non-empty")
+    global _handed
     low_form = fold_lower(form)
     low_lemma = fold_lower(lemma)
     root = longest_common_substring(low_form, low_lemma)
     if root.length == 0:
-        return SesLabel(_SCHEME, ABSOLUTE_MARK + lemma)
+        text = ABSOLUTE_MARK + lemma
+        _handed = text, (lemma, (), "", "", 0, 0)
+        return SesLabel(_SCHEME, text)
+    front = root.start_in_a
     head = low_lemma[: root.start_in_b]
     tail = low_lemma[root.start_in_b + root.length :]
-    prefix = min_script_align(low_form[: root.start_in_a], head)
-    suffix = min_script_align(low_form[root.start_in_a + root.length :], tail)
-    text = "{};d{}{}{}".format(
-        _casing_text(lemma, low_lemma),
-        _serialize_ops(prefix, head),
-        SCRIPT_SEP,
-        _serialize_ops(suffix, tail),
-    )
+    prefix = _serialize_ops(min_script_align(low_form[:front], head), head)
+    suffix = _serialize_ops(min_script_align(low_form[front + root.length :], tail), tail)
+    casing, segments = _casing_text(lemma, low_lemma)
+    text = f"{casing};d{prefix}{SCRIPT_SEP}{suffix}"
+    _handed = text, (None, segments, prefix, suffix, front, len(form) - front - root.length)
     return SesLabel(_SCHEME, text)
 
 
 def decode(form: str, label: SesLabel) -> str:
     if label.scheme is not _SCHEME:
         raise SchemeMismatch(f"expected udpipe label, got {label.scheme.value}")
-    absolute, segments, prefix_ops, suffix_ops, front, back = parse_label(label.text)
+    handed, text = _handed, label.text  # one read: another thread may encode
+    absolute, segments, prefix_ops, suffix_ops, front, back = (
+        handed[1] if text == handed[0] else parse_label(text))
     if absolute is not None:
         return absolute
     if front + back > len(form):
@@ -145,17 +149,19 @@ def _parse_casing(casing: str) -> tuple[tuple[CaseClass, int], ...]:
     return tuple(segments)
 
 
-def _casing_text(lemma: str, low_lemma: str) -> str:
+def _casing_text(lemma: str, low_lemma: str) -> tuple[str, tuple[tuple[CaseClass, int], ...]]:
     # the segment at 0 takes the class of the first cased character;
     # caseless characters continue the running class; lower when none.
     # fold_lower and fold_upper change exactly the upper and the lower
-    # characters, so comparing against them classifies every position
+    # characters, so comparing against them classifies every position.
+    # Returns the casing text and the segments parse_label reads from it
     if low_lemma == lemma:
-        return DOWN_MARK + "0"
+        return DOWN_MARK + "0", _LOWER_ONLY
     up_lemma = fold_upper(lemma)
     if up_lemma == lemma:
-        return UP_MARK + "0"
-    segments: list[str] = []
+        return UP_MARK + "0", ((UPPER, 0),)
+    marks: list[str] = []
+    segments: list[tuple[CaseClass, int]] = []
     current = None
     for pos, ch in enumerate(lemma):
         if ch != low_lemma[pos]:
@@ -165,9 +171,11 @@ def _casing_text(lemma: str, low_lemma: str) -> str:
         else:
             continue
         if mark != current:
-            segments.append(f"{mark}{pos}" if segments else mark + "0")
+            start = pos if segments else 0
+            marks.append(f"{mark}{start}")
+            segments.append((_DIRECTIONS[mark], start))
             current = mark
-    return SCRIPT_SEP.join(segments)
+    return SCRIPT_SEP.join(marks), tuple(segments)
 
 
 def _serialize_ops(script: str, target: str) -> str:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import errno
 import gc
 import json
 import os
@@ -556,6 +557,29 @@ def test_predict_writes_through_a_symlink_and_to_a_device(tmp_path):
     # a device is written in place, never replaced by a regular file
     assert main(["predict", str(model), str(test), os.devnull]) == 0
     assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+@pytest.mark.parametrize("command", ["encode", "train", "predict", "decode"])
+def test_an_output_in_a_missing_directory_is_named_as_given(
+    tmp_path, monkeypatch, capsys, comparison_file, command
+):
+    # the output is written to a temporary file beside it; the error names
+    # the path the user gave, with no process id or absolute prefix
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "pairs.conllu", "model.json", "--scheme", "udpipe"]) == 0
+    assert main(["encode", "pairs.conllu", "labeled.tsv", "--scheme", "udpipe"]) == 0
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    argv = {
+        "encode": ["encode", "pairs.conllu", "nodir/out.tsv", "--scheme", "udpipe"],
+        "train": ["train", "pairs.conllu", "nodir/out.tsv", "--scheme", "udpipe"],
+        "predict": ["predict", "model.json", "pairs.conllu", "nodir/out.tsv"],
+        "decode": ["decode", "labeled.tsv", "nodir/out.tsv", "--scheme", "udpipe"],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: nodir/out.tsv: {os.strerror(errno.ENOENT)}\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 # --- the collector pause: no per-token cycles, caller's state restored ------

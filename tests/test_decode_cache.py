@@ -4,12 +4,16 @@ The oracle decodes from the uncached parse_label.__wrapped__ with its own
 apply step, so it never touches a cache; it counts the characters each
 udpipe script consumes from the op strings, not from the plan. The label
 pool holds more distinct texts per scheme than the cache keeps, so
-entries are evicted and parsed again.
+entries are evicted and parsed again. The label encode wrote last is not
+parsed at all: decode applies the plan encode handed over with it, which
+must equal the parse of its text.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +31,7 @@ from lemscript.errors import (
 )
 from lemscript.model import Scheme, SesLabel
 from lemscript.schemes import decode, ixapipes, morpheus, udpipe
+from test_scheme_reference import pairs as label_pairs
 
 CACHE_SIZE = 128
 MODULES = {Scheme.UDPIPE: udpipe, Scheme.IXAPIPES: ixapipes, Scheme.MORPHEUS: morpheus}
@@ -194,3 +199,61 @@ def test_malformed_labels_raise_on_every_call():
     for scheme, text in bad.items():
         label = SesLabel(scheme, text)
         assert [outcome(decode, "ab", label) for _ in range(3)] == [ParseError] * 3
+
+
+# --- the plan encode hands to decode ----------------------------------------
+
+@given(st.lists(label_pairs(), max_size=5))
+def test_a_handed_plan_is_the_parse_of_its_text(pairs):
+    # decode applies the plan encode left in _handed to that exact text
+    # instead of parsing it, so the two must never differ
+    for form, lemma in pairs:
+        for module in MODULES.values():
+            text = module.encode(form, lemma).text
+            handed = module._handed
+            assert handed[0] != text or handed[1] == module.parse_label.__wrapped__(text), (
+                module.__name__, form, lemma, text)
+
+
+class _Text(str):
+    """A label text whose == runs Python code, which lets the interpreter
+    switch threads inside decode's comparison with the handed text."""
+
+    __hash__ = str.__hash__
+
+    def __eq__(self, other):
+        return str.__eq__(self, other)
+
+
+def _roundtrips(pairs, rounds, wrong, done):
+    for k in range(rounds):
+        form, lemma = pairs[k % len(pairs)]
+        scheme = list(Scheme)[k % 3]
+        label = SesLabel(scheme, _Text(MODULES[scheme].encode(form, lemma).text))
+        got = outcome(decode, form, label)
+        if got != lemma:
+            wrong.append((scheme, form, lemma, got))
+    done.append(rounds)
+
+
+def test_two_threads_each_decode_their_own_labels():
+    # each decode reads _handed once, so an encode in the other thread
+    # between reading the handed text and its plan cannot swap in its plan
+    rng = random.Random(8)
+    pools = [[("".join(rng.choices(letters, k=rng.randint(1, 7))),
+               "".join(rng.choices(letters, k=rng.randint(1, 7)))) for _ in range(50)]
+             for letters in ("abdeknorsABDK", "жуклмнЖУКЛ")]
+    wrong, done = [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=_roundtrips, args=(pool, 5000, wrong, done))
+                   for pool in pools]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert (wrong, done) == ([], [5000, 5000])

@@ -1,12 +1,13 @@
 """Tripwire for state that lemscript keeps between calls.
 
 Every functools.lru_cache wrapper in the package is listed here with its
-maxsize, and so is every module-level dict, list or set that grows while
-lemscript works. A memo keeps results from one call for the next, so a
-benchmark that repeats one unit of work can measure the memo's reuse of
-the previous unit instead of the program. A new memo therefore has to be
-added to CACHES or GROWING, with a note in CHANGES.md on why it cannot
-carry one fuzz_roundtrip unit's results into the next.
+maxsize, every module-level dict, list or set that grows while lemscript
+works, and every module-level name that lemscript rebinds. A memo keeps
+results from one call for the next, so a benchmark that repeats one unit
+of work can measure the memo's reuse of the previous unit instead of the
+program. A new memo therefore has to be added to CACHES, GROWING or
+REBOUND, with a note in CHANGES.md on why it cannot carry one
+fuzz_roundtrip unit's results into the next.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 import lemscript
 
 CACHES = {
@@ -30,6 +33,14 @@ CACHES = {
 
 # str.translate tables, one entry per distinct character folded
 GROWING = {"lemscript.casing._LOWER_TABLE", "lemscript.casing._UPPER_TABLE"}
+
+# the (text, plan) each encode leaves for decode: one entry, replaced by
+# every encode, so it cannot carry one fuzz_roundtrip unit into the next
+REBOUND = {
+    "lemscript.schemes.ixapipes._handed",
+    "lemscript.schemes.morpheus._handed",
+    "lemscript.schemes.udpipe._handed",
+}
 
 # Latin, Cyrillic and Turkish letters in both cases, as in the benchmark's fuzz mix
 ALPHABET = "abdekmnorstvzабвгдежзиклмноçğışöüİıABDEKÇĞŞÖÜБВГ"
@@ -55,8 +66,9 @@ def test_every_lru_cache_is_listed_with_its_size():
     assert _lru_caches() == CACHES
 
 
-def grown_containers(work: str) -> list[str]:
-    """The module-level containers of lemscript that grow during one
+def state_changes(work: str) -> dict[str, list[str]]:
+    """The module-level containers of lemscript that grow ("grown") and the
+    module-level names it binds to another object ("rebound") during one
     roundtrip unit of non-ASCII pairs under every scheme and one in-process
     compare run in the directory work."""
     from lemscript import schemes
@@ -65,9 +77,10 @@ def grown_containers(work: str) -> list[str]:
     from lemscript.model import Scheme
     from synth import synthetic_corpus
 
-    containers = {f"{module}.{name}": value for module, m in _modules()
-                  for name, value in vars(m).items()
-                  if isinstance(value, (dict, list, set)) and not name.startswith("__")}
+    names = {f"{module}.{name}": value for module, m in _modules()
+             for name, value in vars(m).items() if not name.startswith("__")}
+    containers = {name: value for name, value in names.items()
+                  if isinstance(value, (dict, list, set))}
     before = {name: len(value) for name, value in containers.items()}
     rng = random.Random(1)
     for _ in range(500):
@@ -80,14 +93,28 @@ def grown_containers(work: str) -> list[str]:
     with open(data, "w", encoding="utf-8") as fp:
         write_conllu(synthetic_corpus(300, seed=1), fp)
     assert main(["compare", data, data, "--out", os.path.join(work, "report.json")]) == 0
-    return sorted(name for name, value in containers.items() if len(value) > before[name])
+    now = {f"{module}.{name}": value for module, m in _modules() for name, value in vars(m).items()}
+    return {
+        "grown": sorted(name for name, value in containers.items() if len(value) > before[name]),
+        "rebound": sorted(name for name, value in names.items() if now.get(name) is not value),
+    }
 
 
-def test_every_growing_module_container_is_listed(tmp_path):
+@pytest.fixture(scope="module")
+def changes(tmp_path_factory):
     # a fresh interpreter, so that no earlier test has filled a container
+    work = str(tmp_path_factory.mktemp("state"))
     code = ("import json, test_module_state as t\n"
-            f"print(json.dumps(t.grown_containers({str(tmp_path)!r})))")
+            f"print(json.dumps(t.state_changes({work!r})))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
-    assert set(json.loads(child.stdout)) == GROWING
+    return json.loads(child.stdout)
+
+
+def test_every_growing_module_container_is_listed(changes):
+    assert set(changes["grown"]) == GROWING
+
+
+def test_every_rebound_module_name_is_listed(changes):
+    assert set(changes["rebound"]) == REBOUND

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import COMPARISON_LABELS, COMPARISON_PAIRS
+from lemscript.corpus_io import LabeledToken, label_pairs
 from lemscript.errors import ArityMismatch, EmptyInput, ParseError, SchemeMismatch
 from lemscript.model import Scheme, SesLabel
 from lemscript.schemes import morpheus
@@ -92,6 +93,38 @@ def test_empty_input_rejected():
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         morpheus.parse_label(bad)
+
+
+# a "|" in the lemma reaches the label through a replace payload, where it
+# reads as a token separator: the encoder writes labels that its own
+# decoder rejects. Changing the grammar would change labels, so these pin
+# today's outcomes, including that label_pairs reports them as failures
+PIPE_LEMMAS = [
+    ("a", "|", "r_|", ParseError),
+    ("ab", "x|s", "r_x|r_|s", ParseError),
+    ("_БеD", "z2ğAşк|s", "r_z|r_2|r_ğ|r_Aşк|s", ArityMismatch),
+    ("a|b", "a|c", "s|s|r_c", None),
+]
+
+
+@pytest.mark.parametrize("form,lemma,text,error", PIPE_LEMMAS)
+def test_a_pipe_in_the_lemma_keeps_its_outcome(form, lemma, text, error):
+    label = morpheus.encode(form, lemma)
+    assert label.text == text
+    if error is None:
+        assert morpheus.decode(form, label) == lemma
+    else:
+        with pytest.raises(error):
+            morpheus.decode(form, label)
+
+
+def test_label_pairs_reports_the_pipe_lemmas_it_cannot_decode():
+    found = label_pairs(Scheme.MORPHEUS, [(form, lemma) for form, lemma, _, _ in PIPE_LEMMAS])
+    for (form, lemma, text, error), outcome in zip(PIPE_LEMMAS, found):
+        if error is None:
+            assert outcome == LabeledToken(form, lemma, SesLabel(Scheme.MORPHEUS, text))
+        else:
+            assert outcome.startswith(f"{error.__name__}: "), outcome
 
 
 LETTERS = "abcdstzABCDSTZжуЖУßİıçğşÇĞŞ"
