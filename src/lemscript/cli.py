@@ -131,6 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
+    targets = ALL_SCHEMES if args.scheme == "all" else (Scheme(args.scheme),)
+    if args.output == "-" and len(targets) > 1:
+        print("error: '-' output needs a single --scheme", file=sys.stderr)
+        return 2
     pairs: dict[tuple[str, str], int] = {}
     words: list[int] = []  # each lemmatized word's ID in file order, to name failures
     rows, _ = corpus_io.read_file(args.input, corpus_io.pair_ids, pairs, args.adjust_propn, words)
@@ -138,10 +142,6 @@ def cmd_encode(args: argparse.Namespace) -> int:
     del pairs
     # where each sentence's word IDs start in words
     starts = array("q", itertools.accumulate(map(len, rows), initial=0))
-    targets = ALL_SCHEMES if args.scheme == "all" else (Scheme(args.scheme),)
-    if args.output == "-" and len(targets) > 1:
-        print("error: '-' output needs a single --scheme", file=sys.stderr)
-        return 2
     failures: dict[str, list[dict[str, object]]] = {}
     for scheme in targets:
         path = args.output if len(targets) == 1 else _suffixed(args.output, scheme.value)

@@ -21,7 +21,6 @@ recently used texts. A plan is (lower_first, ((kind, index, chars), ...)).
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 
 from ..alignment import DELETE, INSERT, MATCH, REPLACE, levenshtein_align
@@ -128,44 +127,7 @@ def parse_label(text: str) -> tuple[bool, tuple[tuple[str, int, str], ...]]:
     largest index bound under which the rest cannot parse; a smaller
     bound cannot parse either, so the rest of a label is never parsed
     twice from one offset and bound.
-
-    A label in which no operand is a digit needs no search: each maximal
-    digit run is a whole index, so the label splits into tokens in one
-    way only, and one linear pass reads that split and checks its order.
-    Any label that pass does not accept goes to the search.
     """
-    return _scan(text) or _search(text)
-
-
-# one token: an index of at most 640 digits, the smallest int-string
-# limit the interpreter allows, so int() never raises on it, and operands
-# that are not digits (group 2 is set for R only); a longer index, a
-# leading zero or a digit operand does not match and goes to _search
-_TOKEN = re.compile("((R)|[DI])(0|[1-9][0-9]{0,639})([^0-9](?(2)[^0-9]))")
-
-
-def _scan(text: str) -> tuple[bool, tuple[tuple[str, int, str], ...]] | None:
-    """The one-pass parse of a label without digit operands; None otherwise."""
-    start = 1 if text[:1] == LOWER_FLAG else 0
-    tokens = []
-    # the tokens read do not overlap, so they tile the label iff their
-    # sizes sum to its length
-    size = start
-    bound: float = float("inf")
-    for kind, _, digits, chars in _TOKEN.findall(text, start):
-        index = int(digits)
-        if index > bound:
-            return None
-        tokens.append((kind, index, chars))
-        bound = index if kind == "I" else index - 1
-        size += 1 + len(digits) + len(chars)
-    if size != len(text) or not tokens:
-        return None
-    return start == 1, tuple(tokens)
-
-
-def _search(text: str) -> tuple[bool, tuple[tuple[str, int, str], ...]]:
-    """parse_label's backtracking search, for any label text."""
     if not text:
         raise ParseError("empty ixapipes label")
     if text == IDENTITY:

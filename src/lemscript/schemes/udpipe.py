@@ -102,7 +102,7 @@ def parse_label(text: str) -> tuple:
         return text[1:], (), "", "", 0, 0
     # casing characters never include ";", so the first RULE_MARK ends it
     casing, found, script = text.partition(RULE_MARK)
-    segments = _LOWER_ONLY if casing == DOWN_MARK + "0" else _parse_casing(casing)
+    segments = _parse_casing(casing)
     if not found:
         raise ParseError(f"casing not closed by '{RULE_MARK}'")
 

@@ -226,10 +226,14 @@ def test_stats_empty_input(tmp_path, capsys):
     assert all(v["unique_labels"] == 0 for v in payload["schemes"].values())
 
 
-def test_encode_all_to_stdout_is_rejected(comparison_file, capsys):
-    code = main(["encode", str(comparison_file), "-", "--scheme", "all"])
-    assert code == 2
-    assert "single --scheme" in capsys.readouterr().err
+def test_encode_all_to_stdout_is_rejected(comparison_file, tmp_path, capsys):
+    # the usage error comes first, before any read of the input
+    malformed = tmp_path / "bad.conllu"
+    malformed.write_text("1\tcats\n\n", encoding="utf-8")
+    for path in (comparison_file, tmp_path / "missing.conllu", malformed):
+        code = main(["encode", str(path), "-", "--scheme", "all"])
+        assert code == 2
+        assert "single --scheme" in capsys.readouterr().err
 
 
 # IDs 5, 7 and 9 with a multiword range and an empty node between them; a

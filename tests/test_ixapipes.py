@@ -132,10 +132,15 @@ def test_out_of_order_tokens_are_parse_errors(bad):
         ixapipes.parse_label(bad)
 
 
+def serialized(plan):
+    lower_first, tokens = plan
+    text = "".join(f"{kind}{index}{chars}" for kind, index, chars in tokens)
+    return ixapipes.LOWER_FLAG + text if lower_first else text or ixapipes.IDENTITY
+
+
 @pytest.mark.parametrize("good", ["I1xI1y", "I0xD0a", "I2xR2ab", "R3abI2xI2yD0c", "D12D03"])
 def test_encoder_order_parses(good):
-    _, tokens = ixapipes.parse_label(good)
-    assert "".join(f"{kind}{index}{chars}" for kind, index, chars in tokens) == good
+    assert serialized(ixapipes.parse_label(good)) == good
 
 
 @pytest.mark.parametrize("bad", ["D01a", "R00ab", "I01x", "1D02aD0b"])
@@ -149,8 +154,7 @@ def test_leading_zero_indices_are_parse_errors(bad):
 
 @pytest.mark.parametrize("good", ["D00", "R00a", "I01", "D10aD0b"])
 def test_zero_index_and_zero_operands_still_parse(good):
-    _, tokens = ixapipes.parse_label(good)
-    assert "".join(f"{kind}{index}{chars}" for kind, index, chars in tokens) == good
+    assert serialized(ixapipes.parse_label(good)) == good
 
 
 def test_oversized_index_is_a_parse_error():
@@ -168,27 +172,12 @@ def test_oversized_index_is_a_parse_error():
         ("x1", "x2", "R012", (("R", 0, "12"),)),
     ],
 )
-def test_digit_operand_labels_fall_back_to_the_search(form, lemma, text, tokens):
-    # a digit operand makes the split ambiguous, so the linear pass refuses
-    # the label and the search resolves it as it always did
+def test_digit_operand_labels_parse_to_the_encoder_split(form, lemma, text, tokens):
+    # a digit operand makes the split ambiguous; the search resolves it
+    # to the tokens the encoder wrote
     assert ixapipes.encode(form, lemma).text == text
-    assert ixapipes._scan(text) is None
     assert ixapipes.parse_label(text) == (False, tokens)
     assert ixapipes.decode(form, SesLabel(Scheme.IXAPIPES, text)) == lemma
-
-
-def outcome(parse, text):
-    try:
-        return parse(text)
-    except ParseError as error:
-        return ParseError, str(error)
-
-
-def assert_scan_agrees_with_search(text):
-    scanned = ixapipes._scan(text)
-    if scanned is not None:
-        assert scanned == ixapipes._search(text), text
-    assert outcome(ixapipes.parse_label.__wrapped__, text) == outcome(ixapipes._search, text), text
 
 
 # token-shaped text: operands over ab01, indices in any order
@@ -199,20 +188,14 @@ TOKEN_TEXT = st.lists(st.tuples(st.sampled_from("RDI"), st.integers(0, 12), OPER
 
 
 @given(st.one_of(st.text(alphabet="RDI0123456789ab", max_size=16), TOKEN_TEXT))
-def test_linear_pass_matches_the_search_on_random_text(text):
-    assert_scan_agrees_with_search(text)
-    assert_scan_agrees_with_search(ixapipes.LOWER_FLAG + text)
-
-
-DIGIT_WORDS = st.text(alphabet="abcAB0123456789", min_size=1, max_size=12)
-
-
-@given(DIGIT_WORDS, DIGIT_WORDS)
-def test_linear_pass_matches_the_search_on_encoder_labels(form, lemma):
-    text = ixapipes.encode(form, lemma).text
-    assert_scan_agrees_with_search(text)
-    if not any(c.isdigit() for c in form + lemma) and text not in ("O", "1"):
-        assert ixapipes._scan(text) is not None, text
+def test_an_accepted_text_is_its_plan_serialized(text):
+    # the parser accepts only the encoder's serialization of the plan it returns
+    for candidate in (text, ixapipes.LOWER_FLAG + text):
+        try:
+            plan = ixapipes.parse_label.__wrapped__(candidate)
+        except ParseError:
+            continue
+        assert serialized(plan) == candidate
 
 
 def test_identity_label_only_alone():
