@@ -94,7 +94,7 @@ def conllu_rows(lines: Iterable[str]) -> Iterator[tuple[list[list], list[str]]]:
             comments.append(line)
             continue
         cols = line.split("\t")
-        if len(cols) < 10:
+        if len(cols) != 10:
             raise FormatError(lineno, f"expected 10 tab-separated columns, got {len(cols)}")
         index = indices.get(cols[0])
         if index is None:

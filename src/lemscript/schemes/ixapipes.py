@@ -14,7 +14,7 @@ reversed character order so sequential application lands them correctly.
 "O" means the word is already its lemma; a leading "1" means the first
 character of the surface word is lowercased before the edits run.
 
-A label fresh from encode is applied from the plan encode built for it;
+A label fresh from encode is applied from the plan encode wrote it from;
 any other goes through parse_label, which keeps the plans of the 128 most
 recently used texts. A plan is (lower_first, ((kind, index, chars), ...)).
 """
@@ -50,36 +50,31 @@ def encode(form: str, lemma: str) -> SesLabel:
     # walk the script backwards, so indices come in label order; the D or
     # R at an index waits until the inserts before it in the script, which
     # the label lists first, are out. The trailing MATCH run emits nothing.
-    # tokens gets the (kind, index, chars) parse_label reads from each part
     script = levenshtein_align(source, target, True)  # delete_before_replace
     edits = script.rstrip(MATCH)
-    parts: list[str] = []
     tokens: list[tuple[str, int, str]] = []
-    pending = ""
+    pending = None
     pos = len(source) - len(script) + len(edits)
     j = len(target) - len(script) + len(edits)
     for op in reversed(edits):
         if op == INSERT:
             j -= 1
-            parts.append(f"I{pos}{target[j]}")
             tokens.append(("I", pos, target[j]))
             continue
         if pending:
-            parts.append(pending)
-            tokens.append(token)
+            tokens.append(pending)
         pos -= 1
         if op == DELETE:
-            pending, token = f"D{pos}{source[pos]}", ("D", pos, source[pos])
+            pending = "D", pos, source[pos]
         elif op == REPLACE:
             j -= 1
-            pending, token = f"R{pos}{source[pos]}{target[j]}", ("R", pos, source[pos] + target[j])
+            pending = "R", pos, source[pos] + target[j]
         else:
             j -= 1
-            pending = ""
+            pending = None
     if pending:
-        parts.append(pending)
-        tokens.append(token)
-    text = "".join(parts)
+        tokens.append(pending)
+    text = "".join([f"{kind}{index}{chars}" for kind, index, chars in tokens])
     text = LOWER_FLAG + text if lower_first else text
     _handed = text, (lower_first, tuple(tokens))
     return SesLabel(_SCHEME, text)

@@ -13,7 +13,7 @@ payload, a preceding delete becomes a plain replace, and a run at the
 very start is prepended into the first token. A replace that merely
 lowercases its character is re-labelled "l".
 
-A label fresh from encode is applied from the plan encode built for it;
+A label fresh from encode is applied from the plan encode wrote it from;
 any other goes through parse_label, which keeps the plans of the 128 most
 recently used label texts. A plan is ((kind, payload), ...), one pair per
 token. encode hands over no plan when the lemma holds a "|", which a
@@ -52,12 +52,10 @@ def encode(form: str, lemma: str) -> SesLabel:
     # one token per consuming op; a token's payload collects the inserts
     # before it (leading run only), its own character and the inserts after.
     # A leading MATCH run of k is k - 1 SAME tokens and a pending MATCH.
-    # tokens gets the (kind, payload) pair parse_label reads from each part
     script = levenshtein_align(form, lemma)
     edits = script.lstrip(MATCH)
     i = j = len(script) - len(edits)  # next form and lemma characters
-    parts = [SAME] * (i - 1)  # empty when i is 0
-    tokens = [_SAME] * (i - 1)
+    tokens = [_SAME] * (i - 1)  # empty when i is 0
     if i:
         op = MATCH
         payload = form[i - 1]
@@ -70,13 +68,10 @@ def encode(form: str, lemma: str) -> SesLabel:
             j += 1
             continue
         if op == MATCH and len(payload) == 1:  # the form's own character
-            parts.append(SAME)
             tokens.append(_SAME)
             payload = ""
         elif op is not None:
-            part, token = _token(op, form[i - 1], payload)
-            parts.append(part)
-            tokens.append(token)
+            tokens.append(_token(op, form[i - 1], payload))
             payload = ""
         op = step
         if op == MATCH:
@@ -86,10 +81,10 @@ def encode(form: str, lemma: str) -> SesLabel:
             payload += lemma[j]
             j += 1
         i += 1
-    part, token = _token(op, form[-1], payload)
-    parts.append(part)
-    tokens.append(token)
-    text = TOKEN_SEP.join(parts)
+    tokens.append(_token(op, form[-1], payload))
+    text = TOKEN_SEP.join(
+        [REPLACE_MARK + payload if kind == "r" else kind for kind, payload in tokens]
+    )
     if TOKEN_SEP not in lemma:  # else a "|" in a payload splits its token in the text
         _handed = text, tuple(tokens)
     return SesLabel(_SCHEME, text)
@@ -132,15 +127,15 @@ def parse_label(text: str) -> tuple[tuple[str, str], ...]:
     return tuple(tokens)
 
 
-def _token(op: str, form_char: str, payload: str) -> tuple[str, tuple[str, str]]:
+def _token(op: str, form_char: str, payload: str) -> tuple[str, str]:
     if op == MATCH and payload == form_char:
-        return SAME, _SAME
+        return _SAME
     if op == DELETE and not payload:
-        return DEL, _DEL
+        return _DEL
     if (
         len(payload) == 1
         and char_class(form_char) is UPPER
         and payload == shift_lower(form_char)
     ):
-        return LOWER, _LOWER
-    return REPLACE_MARK + payload, ("r", payload)
+        return _LOWER
+    return "r", payload

@@ -16,7 +16,7 @@ minimize the serialized script length (insert costs 2 characters, copy
 and delete cost 1). Casing segments index positions in the lemma; each
 segment re-cases characters from its start up to the next segment.
 
-A label fresh from encode is applied from the plan encode built for it;
+A label fresh from encode is applied from the plan encode wrote it from;
 any other goes through parse_label, which keeps the plans of the 128 most
 recently used label texts. A plan is (absolute, segments, prefix ops,
 suffix ops, front, back), with the ops as serialized strings.
@@ -62,8 +62,9 @@ def encode(form: str, lemma: str) -> SesLabel:
     tail = low_lemma[root.start_in_b + root.length :]
     prefix = _serialize_ops(min_script_align(low_form[:front], head), head)
     suffix = _serialize_ops(min_script_align(low_form[front + root.length :], tail), tail)
-    casing, segments = _casing_text(lemma, low_lemma)
-    text = f"{casing};d{prefix}{SCRIPT_SEP}{suffix}"
+    segments = _casing_segments(lemma, low_lemma)
+    marks = [f"{UP_MARK if case is UPPER else DOWN_MARK}{start}" for case, start in segments]
+    text = f"{SCRIPT_SEP.join(marks)};d{prefix}{SCRIPT_SEP}{suffix}"
     _handed = text, (None, segments, prefix, suffix, front, len(form) - front - root.length)
     return SesLabel(_SCHEME, text)
 
@@ -135,6 +136,8 @@ def _parse_casing(casing: str) -> tuple[tuple[CaseClass, int], ...]:
         digits = seg[1:]
         if not (digits.isdigit() and digits.isascii()):
             raise ParseError(f"casing segment {seg!r} needs a decimal position")
+        if digits[0] == "0" and len(digits) > 1:  # the encoder writes ↑1, never ↑01
+            raise ParseError(f"casing position {digits!r} has a leading zero")
         try:
             position = int(digits)
         except ValueError:  # beyond the interpreter's int-string limit
@@ -149,33 +152,29 @@ def _parse_casing(casing: str) -> tuple[tuple[CaseClass, int], ...]:
     return tuple(segments)
 
 
-def _casing_text(lemma: str, low_lemma: str) -> tuple[str, tuple[tuple[CaseClass, int], ...]]:
+def _casing_segments(lemma: str, low_lemma: str) -> tuple[tuple[CaseClass, int], ...]:
     # the segment at 0 takes the class of the first cased character;
     # caseless characters continue the running class; lower when none.
     # fold_lower and fold_upper change exactly the upper and the lower
     # characters, so comparing against them classifies every position.
-    # Returns the casing text and the segments parse_label reads from it
     if low_lemma == lemma:
-        return DOWN_MARK + "0", _LOWER_ONLY
+        return _LOWER_ONLY
     up_lemma = fold_upper(lemma)
     if up_lemma == lemma:
-        return UP_MARK + "0", ((UPPER, 0),)
-    marks: list[str] = []
+        return ((UPPER, 0),)
     segments: list[tuple[CaseClass, int]] = []
     current = None
     for pos, ch in enumerate(lemma):
         if ch != low_lemma[pos]:
-            mark = UP_MARK
+            direction = UPPER
         elif ch != up_lemma[pos]:
-            mark = DOWN_MARK
+            direction = LOWER
         else:
             continue
-        if mark != current:
-            start = pos if segments else 0
-            marks.append(f"{mark}{start}")
-            segments.append((_DIRECTIONS[mark], start))
-            current = mark
-    return SCRIPT_SEP.join(marks), tuple(segments)
+        if direction is not current:
+            segments.append((direction, pos if segments else 0))
+            current = direction
+    return tuple(segments)
 
 
 def _serialize_ops(script: str, target: str) -> str:

@@ -503,12 +503,14 @@ LABELED_SENTENCE = "dogs\tdog\t↓0;d¦-\nhorses\thorse\t↓0;d¦-\n\n"
     [
         ("predict", b"2\tbirds\tbird\tNOUN\t_\t_\t_\t_\t_\n",
          "expected 10 tab-separated columns, got 9"),
+        ("predict", b"2\tbirds\tbird\tNOUN\t_\t_\t_\t_\t_\t_\t_\n",
+         "expected 10 tab-separated columns, got 11"),
         ("predict", b"2\tb\xffrds\tbird\tNOUN\t_\t_\t_\t_\t_\t_\n", "not UTF-8"),
         ("decode", b"birds\tbird\t\n", "empty label column"),
         ("decode", b"birds\tbird\n", "expected 3 tab-separated columns, got 2"),
         ("decode", b"b\xffrds\tbird\t" + "↓0;d¦-\n".encode(), "not UTF-8"),
     ],
-    ids=["nine-columns", "non-utf8", "decode-empty-label", "decode-two-columns",
+    ids=["nine-columns", "eleven-columns", "non-utf8", "decode-empty-label", "decode-two-columns",
          "decode-non-utf8"],
 )
 @pytest.mark.parametrize("output", ["new", "existing", "-"])

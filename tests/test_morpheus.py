@@ -127,6 +127,27 @@ def test_label_pairs_reports_the_pipe_lemmas_it_cannot_decode():
             assert outcome.startswith(f"{error.__name__}: "), outcome
 
 
+def serialized(plan):
+    tokens = (morpheus.REPLACE_MARK + payload if kind == "r" else kind for kind, payload in plan)
+    return morpheus.TOKEN_SEP.join(tokens)
+
+
+# label-shaped text: tokens and near-tokens, payloads over the token characters
+PAYLOADS = st.text(alphabet="sdlr_|a", max_size=3)
+TOKENS = st.one_of(st.sampled_from(["s", "d", "l", "r", "", "x"]), PAYLOADS.map("r_".__add__))
+LABEL_TEXT = st.lists(TOKENS, min_size=1, max_size=5).map("|".join)
+
+
+@given(st.one_of(st.text(alphabet="sdlr_|a", max_size=12), LABEL_TEXT))
+def test_an_accepted_text_is_its_plan_serialized(text):
+    # the parser accepts only the encoder's serialization of the plan it returns
+    try:
+        plan = morpheus.parse_label.__wrapped__(text)
+    except ParseError:
+        return
+    assert serialized(plan) == text
+
+
 LETTERS = "abcdstzABCDSTZжуЖУßİıçğşÇĞŞ"
 WORDS = st.text(alphabet=LETTERS, min_size=1, max_size=12)
 

@@ -37,7 +37,6 @@ WORDS = st.tuples(
     st.sampled_from(LEMMAS),
     st.sampled_from(["NOUN", "_"]),
     st.sampled_from(["", "range", "empty"]),  # a range row before it, an empty node after it
-    st.booleans(),  # an 11th column
 )
 SENTENCES = st.tuples(
     st.lists(st.sampled_from(["# sent_id = s", "# text = x\ty"]), max_size=2),
@@ -52,10 +51,10 @@ def conllu_lines(document) -> list[str]:
     lines = []
     for comments, words, blank in document:
         lines += comments
-        for i, (form, lemma, upos, extra, wide) in enumerate(words, 1):
+        for i, (form, lemma, upos, extra) in enumerate(words, 1):
             if extra == "range":
                 lines.append(f"{i}-{i + 1}\t{form}{form}\t_\t_\t_\t_\t_\t_\t_\t_")
-            lines.append(f"{i}\t{form}\t{lemma}\t{upos}\t_\t_\t_\t_\t_\t_" + "\t_" * wide)
+            lines.append(f"{i}\t{form}\t{lemma}\t{upos}\t_\t_\t_\t_\t_\t_")
             if extra == "empty":
                 lines.append(f"{i}.1\tghost\tghost\t_\t_\t_\t_\t_\t_\t_")
         lines.append(blank)
@@ -113,11 +112,13 @@ def test_predict_output_matches_the_corpus_reference(document, endings, scheme):
         )
 
 
-# the faults tests/test_corpus_io.py covers, plus the empty FORM: each
-# turns a word row's columns into a faulty row and gives its message
+# the faults tests/test_corpus_io.py covers, plus the empty FORM and an
+# eleventh column: each turns a word row's columns into a faulty row and
+# gives its message
 MUTATIONS = {
     "short-row": (lambda cols: cols[:3], "expected 10 tab-separated columns, got 3"),
     "nine-columns": (lambda cols: cols[:9], "expected 10 tab-separated columns, got 9"),
+    "eleven-columns": (lambda cols: [*cols, "_"], "expected 10 tab-separated columns, got 11"),
     "id-1_0": (lambda cols: ["1_0", *cols[1:]], "non-numeric token id '1_0'"),
     "id-arabic": (lambda cols: ["٣", *cols[1:]], "non-numeric token id '٣'"),
     "id-1.2.3": (lambda cols: ["1.2.3", *cols[1:]], "non-numeric token id '1.2.3'"),

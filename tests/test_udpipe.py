@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import COMPARISON_LABELS, COMPARISON_PAIRS
+from lemscript.casing import LOWER, UPPER
 from lemscript.errors import EmptyInput, LengthMismatch, ParseError, SchemeMismatch
 from lemscript.model import Scheme, SesLabel
 from lemscript.schemes import udpipe
@@ -105,6 +106,8 @@ def test_parse_errors(bad):
         "↓0¦↑2¦↓2;d¦",      # starts do not strictly increase
         "↓0¦↑3¦↓1;d¦",      # a start goes backwards
         "↓0¦↓2;d¦",         # neighbours share a direction
+        "↓00;d¦",           # the encoder writes ↓0;d¦
+        "↓0¦↑01;d¦",        # the encoder writes ↓0¦↑1;d¦
     ],
 )
 def test_non_canonical_casing_rejected(bad):
@@ -153,6 +156,35 @@ def test_op_characters_as_insert_payloads(script, prefix, suffix):
 def test_script_faults_keep_their_messages(script, message):
     with pytest.raises(ParseError, match=f"^{message}$"):
         udpipe.parse_label("↓0;d" + script)
+
+
+def serialized(plan):
+    absolute, segments, prefix_ops, suffix_ops, _, _ = plan
+    if absolute is not None:
+        return udpipe.ABSOLUTE_MARK + absolute
+    marks = {UPPER: udpipe.UP_MARK, LOWER: udpipe.DOWN_MARK}
+    casing = udpipe.SCRIPT_SEP.join(f"{marks[direction]}{start}" for direction, start in segments)
+    return f"{casing}{udpipe.RULE_MARK}{prefix_ops}{udpipe.SCRIPT_SEP}{suffix_ops}"
+
+
+# label-shaped text: each casing position a number with up to two leading
+# zeros, each side a run of copies, deletes and inserts of any character
+POSITIONS = st.builds(
+    lambda zeros, n: "0" * zeros + str(n), st.integers(0, 2), st.integers(0, 3)
+)
+SEGMENTS = st.lists(st.tuples(st.sampled_from("↑↓"), POSITIONS).map("".join), min_size=1, max_size=3)
+OPS = st.lists(st.sampled_from(["→", "-", "+a", "+¦", "+-"]), max_size=3).map("".join)
+LABEL_TEXT = st.tuples(SEGMENTS.map("¦".join), OPS, OPS).map(lambda p: f"{p[0]};d{p[1]}¦{p[2]}")
+
+
+@given(st.one_of(st.text(alphabet="a↑↓01;d¦→-+", max_size=12), LABEL_TEXT))
+def test_an_accepted_text_is_its_plan_serialized(text):
+    # the parser accepts only the encoder's serialization of the plan it returns
+    try:
+        plan = udpipe.parse_label.__wrapped__(text)
+    except ParseError:
+        return
+    assert serialized(plan) == text
 
 
 LETTERS = "abcdstzABCDSTZжуकिЖӰßİıçğşÇĞŞëË"
