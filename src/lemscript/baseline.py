@@ -124,7 +124,7 @@ def predict_rows(lines: Iterable[str], model: BaselineModel, out: IO[str]) -> in
 
 def save_model(model: BaselineModel, fp: IO[str]) -> None:
     payload = {
-        "scheme": model.scheme.value,
+        "scheme": Scheme(model.scheme).value,
         "fallback": model.fallback,
         "per_form": model.per_form,
     }

@@ -135,6 +135,11 @@ def cmd_encode(args: argparse.Namespace) -> int:
     if args.output == "-" and len(targets) > 1:
         print("error: '-' output needs a single --scheme", file=sys.stderr)
         return 2
+    paths = ([args.output] if len(targets) == 1
+             else [_suffixed(args.output, scheme.value) for scheme in targets])
+    if args.failures and _where(args.failures) in map(_where, paths):
+        print("error: --failures names one of the label outputs", file=sys.stderr)
+        return 2
     pairs: dict[tuple[str, str], int] = {}
     words: list[int] = []  # each lemmatized word's ID in file order, to name failures
     rows, _ = corpus_io.read_file(args.input, corpus_io.pair_ids, pairs, args.adjust_propn, words)
@@ -143,8 +148,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
     # where each sentence's word IDs start in words
     starts = array("q", itertools.accumulate(map(len, rows), initial=0))
     failures: dict[str, list[dict[str, object]]] = {}
-    for scheme in targets:
-        path = args.output if len(targets) == 1 else _suffixed(args.output, scheme.value)
+    for scheme, path in zip(targets, paths):
         labels = corpus_io.label_pairs(scheme, table)
         failed: list[corpus_io.LabelFailure] = []
         with _open_out(path) as fp:
@@ -394,6 +398,11 @@ def _format_flag(p: argparse.ArgumentParser) -> None:
 def _suffixed(path: str, scheme: str) -> str:
     p = Path(path)
     return str(p.with_name(f"{p.stem}.{scheme}{p.suffix}" if p.suffix else f"{p.name}.{scheme}"))
+
+
+def _where(path: str) -> str:
+    """The file an output path writes: '-' itself, or the path resolved."""
+    return path if path == "-" else os.path.realpath(path)
 
 
 @contextlib.contextmanager

@@ -146,10 +146,9 @@ def unique_labels(labeled: LabeledCorpus) -> LabelVocabulary:
 
 
 def oov_report(train: LabeledCorpus, test: LabeledCorpus) -> OovReport:
-    if train.scheme is not test.scheme:
-        raise SchemeMismatch(
-            f"train is {train.scheme.value}, test is {test.scheme.value}"
-        )
+    train_scheme, test_scheme = Scheme(train.scheme), Scheme(test.scheme)
+    if train_scheme is not test_scheme:
+        raise SchemeMismatch(f"train is {train_scheme.value}, test is {test_scheme.value}")
     return oov_counts(
         (tok for sentence in train.sentences for tok in sentence),
         ((tok, 1) for sentence in test.sentences for tok in sentence),

@@ -63,14 +63,14 @@ def _setters(cls: type) -> tuple:
 
 
 class SesLabel(_Value):
-    """A textual edit-script label tagged with its scheme."""
+    """A textual edit-script label tagged with its Scheme (a value string is converted)."""
 
     __slots__ = ("scheme", "text")
 
     def __init__(self, scheme: Scheme, text: str) -> None:
         if not text:
             raise ValueError("label text must be non-empty")
-        _set_scheme(self, scheme)
+        _set_scheme(self, scheme if type(scheme) is Scheme else Scheme(scheme))
         _set_text(self, text)
 
 

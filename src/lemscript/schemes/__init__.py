@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..errors import LabelDecodeError, SchemeMismatch
+from ..errors import LabelDecodeError
 from ..model import Scheme, SesLabel
 from . import ixapipes, morpheus, udpipe
 
@@ -18,10 +18,7 @@ def encode(scheme: Scheme, form: str, lemma: str) -> SesLabel:
 
 def decode(form: str, label: SesLabel) -> str:
     """Apply a label to a wordform, dispatching on the label's scheme."""
-    module = _MODULES.get(label.scheme)
-    if module is None:
-        raise SchemeMismatch(f"unknown scheme {label.scheme!r}")
-    return module.decode(form, label)
+    return _MODULES[label.scheme].decode(form, label)
 
 
 def decode_or_form(form: str, label: SesLabel) -> tuple[str, bool]:

@@ -11,6 +11,8 @@ listed by decreasing index and applied in that order, which keeps every
 index valid while the buffer mutates: inserts are the one exception, a
 multi-character insertion at one gap repeats its index, serialized in
 reversed character order so sequential application lands them correctly.
+No D follows an insert at the insert's index, and no R keeps its
+character; the parser rejects both, as no encoder writes them.
 "O" means the word is already its lemma; a leading "1" means the first
 character of the surface word is lowercased before the edits run.
 
@@ -116,12 +118,16 @@ def parse_label(text: str) -> tuple[bool, tuple[tuple[str, int, str], ...]]:
     "I15" the index may be 15 or 1); the parser resolves this by trying
     the longest index first and backtracking until the whole label
     parses, which reproduces the encoder's serialization. Only the
-    encoder's order parses: indices never increase, only an insert may
-    be followed by a token at its own index, and no index has a leading
-    zero. The search keeps its own stack and remembers, per offset, the
-    largest index bound under which the rest cannot parse; a smaller
-    bound cannot parse either, so the rest of a label is never parsed
-    twice from one offset and bound.
+    encoder's order parses: indices never increase, only an I or an R
+    may follow an insert at the insert's own index, no R replaces a
+    character with itself, and no index has a leading zero. To bound
+    the next token with one number, the search ranks a token 2 × index,
+    plus one for a D: an insert keeps its rank as the next bound, and
+    any other token lowers it to one below the rank of an I at its
+    index. The search keeps its own stack, with each token's bound on
+    it, and remembers, per offset, the largest bound under which the
+    rest cannot parse; a smaller bound cannot parse either, so the rest
+    of a label is never parsed twice from one offset and bound.
     """
     if not text:
         raise ParseError("empty ixapipes label")
@@ -131,11 +137,11 @@ def parse_label(text: str) -> tuple[bool, tuple[tuple[str, int, str], ...]]:
     body = text[1:] if lower_first else text
     n = len(body)
     tokens: list[tuple[str, int, str]] = []
-    spans: list[tuple[int, int]] = []  # (start, index end) of each token
-    dead: dict[int, float] = {}  # offset -> largest index bound its rest fails under
+    spans: list[tuple[int, int, float]] = []  # (start, index end, bound there) of each token
+    dead: dict[int, float] = {}  # offset -> largest bound its rest fails under
     pos = 0
     end = -1                     # next index end to try at pos; -1 on arrival
-    bound: float = float("inf")  # largest index the token at pos may have
+    bound: float = float("inf")  # largest rank the token at pos may have
     while pos < n:
         kind = body[pos]
         arity = 2 if kind == "R" else 1
@@ -153,26 +159,23 @@ def parse_label(text: str) -> tuple[bool, tuple[tuple[str, int, str], ...]]:
             if not tokens:
                 raise ParseError(f"malformed ixapipes label {text!r}")
             tokens.pop()
-            pos, end = spans.pop()
+            pos, end, bound = spans.pop()
             end -= 1
-            bound = float("inf")
-            if tokens:  # restore the bound the token before sets, as below
-                prev_kind, prev_index, _ = tokens[-1]
-                bound = prev_index if prev_kind == "I" else prev_index - 1
             continue
         try:
             index = int(body[pos + 1 : end])
         except ValueError:  # beyond the interpreter's int-string limit
             raise ParseError("ixapipes index too long to convert") from None
-        if index > bound:
+        rank = 2 * index + (kind == "D")
+        if rank > bound or kind == "R" and body[end] == body[end + 1]:
             end -= 1
             continue
-        after = index if kind == "I" else index - 1
+        after = rank if kind == "I" else 2 * index - 1
         if end + arity in dead and dead[end + arity] >= after:
             end -= 1
         else:
             tokens.append((kind, index, body[end : end + arity]))
-            spans.append((pos, end))
+            spans.append((pos, end, bound))
             pos = end + arity
             end = -1
             bound = after

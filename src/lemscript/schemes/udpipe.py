@@ -13,7 +13,10 @@ share no character at all after lowercasing. Otherwise the longest common
 substring of the lowered pair is kept as an unchanged root and the
 flanking prefix/suffix are rewritten by copy/delete/insert ops chosen to
 minimize the serialized script length (insert costs 2 characters, copy
-and delete cost 1). Casing segments index positions in the lemma; each
+and delete cost 1). A prefix never ends, and a suffix never starts,
+with a copy, which would lengthen the root, and no insert directly
+precedes a delete, as the aligner writes the delete first; the parser
+rejects such scripts. Casing segments index positions in the lemma; each
 segment re-cases characters from its start up to the next segment.
 
 A label fresh from encode is applied from the plan encode wrote it from;
@@ -42,6 +45,12 @@ RULE_MARK = ";d"
 
 _DIRECTIONS = {UP_MARK: UPPER, DOWN_MARK: LOWER}
 _LOWER_ONLY = ((LOWER, 0),)
+# marks no encoder writes side by side (see the module docstring)
+_NEVER_ADJACENT = {
+    COPY_MARK + SCRIPT_SEP: "a prefix ending in a copy",
+    SCRIPT_SEP + COPY_MARK: "a suffix starting with a copy",
+    INSERT_MARK + DELETE_MARK: "an insert followed by a delete",
+}
 _handed: tuple = (None, None)  # (text, plan) of the last label encode wrote
 _SCHEME = Scheme.UDPIPE
 
@@ -109,8 +118,12 @@ def parse_label(text: str) -> tuple:
 
     split = -1  # offset of the prefix/suffix separator in script
     front = consumed = 0
+    last = ""  # the mark of the op before c, or the separator
     chars = enumerate(script)
     for k, c in chars:
+        if last + c in _NEVER_ADJACENT:
+            raise ParseError(f"edit script has {_NEVER_ADJACENT[last + c]}")
+        last = c
         if c == COPY_MARK or c == DELETE_MARK:
             consumed += 1
         elif c == INSERT_MARK:

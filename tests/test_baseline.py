@@ -142,6 +142,20 @@ def test_model_json_roundtrip():
     assert buf.getvalue().startswith("{")
 
 
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_a_model_with_a_scheme_given_as_its_value_saves_and_predicts(scheme):
+    labeled, _ = label_corpus(corpus_of([("cats", "cat"), ("birds", "bird")]), scheme)
+    model = train_baseline(LabeledCorpus(scheme.value, labeled.sentences))
+    assert predict_lemma(model, "cats") == ("cat", False)
+    assert predict_lemma(model, "dogs") == predict_lemma(train_baseline(labeled), "dogs")
+    plain, enum = io.StringIO(), io.StringIO()
+    save_model(model, plain)
+    save_model(model._replace(scheme=scheme), enum)
+    assert plain.getvalue() == enum.getvalue()
+    plain.seek(0)
+    assert load_model(plain).scheme is scheme
+
+
 # --- the per-distinct-key paths against naive per-token references ----------
 
 def _naive_predict(model, corpus, lemmatized_only):

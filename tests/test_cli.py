@@ -236,6 +236,26 @@ def test_encode_all_to_stdout_is_rejected(comparison_file, tmp_path, capsys):
         assert "single --scheme" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("output, scheme, failures", [
+    ("out.tsv", "udpipe", "out.tsv"),
+    ("out.tsv", "all", "out.udpipe.tsv"),
+    ("-", "udpipe", "-"),
+    ("out.tsv", "udpipe", "./sub/../out.tsv"),
+])
+def test_encode_failures_onto_an_output_is_rejected(
+        comparison_file, tmp_path, monkeypatch, capsys, output, scheme, failures):
+    # the failure report would replace or mix into a label output; the
+    # usage error comes first, before any read of the input
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    for path in (comparison_file, tmp_path / "missing.conllu"):
+        argv = ["encode", str(path), output, "--scheme", scheme, "--failures", failures]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --failures names one of the label outputs\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.conllu", "sub"]
+
+
 # IDs 5, 7 and 9 with a multiword range and an empty node between them; a
 # sentence with no lemmatized word; an empty LEMMA column, which no scheme encodes
 SPARSE_IDS = (

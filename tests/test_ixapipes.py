@@ -124,10 +124,12 @@ def test_indices_running_backwards_are_rejected():
 
 @pytest.mark.parametrize(
     "bad",
-    ["D0sD1t", "I0xI1y", "R0abD2c", "D1aD1b", "R1abR1cd", "R1abI1c", "D0aI0x", "1D2aD3b"],
+    ["D0sD1t", "I0xI1y", "R0abD2c", "D1aD1b", "R1abR1cd", "R1abI1c", "D0aI0x", "1D2aD3b",
+     "I0xD0a", "I0tD0t", "R0tt"],
 )
 def test_out_of_order_tokens_are_parse_errors(bad):
-    # indices never increase, and only an insert precedes a token at its own index
+    # indices never increase, only an I or R follows an insert at its own
+    # index, and an R changes its character; I0tD0t and R0tt decoded cat to cat
     with pytest.raises(ParseError):
         ixapipes.parse_label(bad)
 
@@ -138,7 +140,7 @@ def serialized(plan):
     return ixapipes.LOWER_FLAG + text if lower_first else text or ixapipes.IDENTITY
 
 
-@pytest.mark.parametrize("good", ["I1xI1y", "I0xD0a", "I2xR2ab", "R3abI2xI2yD0c", "D12D03"])
+@pytest.mark.parametrize("good", ["I1xI1y", "I1xD0a", "I2xR2ab", "R3abI2xI2yD0c", "D12D03"])
 def test_encoder_order_parses(good):
     assert serialized(ixapipes.parse_label(good)) == good
 
@@ -196,6 +198,25 @@ def test_an_accepted_text_is_its_plan_serialized(text):
         except ParseError:
             continue
         assert serialized(plan) == candidate
+
+
+# token text around an R that keeps its character or an I k, D k pair
+RULE_BREAKER = st.one_of(
+    st.tuples(st.integers(0, 12), OPERANDS).map(lambda p: f"I{p[0]}{p[1][0]}D{p[0]}{p[1][1]}"),
+    st.tuples(st.integers(0, 12), st.sampled_from("ab01")).map(lambda p: f"R{p[0]}{p[1] * 2}"),
+)
+
+
+@given(st.one_of(TOKEN_TEXT, st.tuples(TOKEN_TEXT, RULE_BREAKER, TOKEN_TEXT).map("".join)))
+def test_an_accepted_plan_keeps_the_encoder_rules(text):
+    for candidate in (text, ixapipes.LOWER_FLAG + text):
+        try:
+            _, tokens = ixapipes.parse_label.__wrapped__(candidate)
+        except ParseError:
+            continue
+        assert all(chars[0] != chars[1] for kind, _, chars in tokens if kind == "R")
+        for (kind, index, _), (next_kind, next_index, _) in zip(tokens, tokens[1:]):
+            assert (kind, next_kind, index) != ("I", "D", next_index)
 
 
 def test_identity_label_only_alone():

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from conftest import corpus_of
-from lemscript.corpus_io import label_corpus
+from lemscript.corpus_io import LabeledCorpus, label_corpus
 from lemscript.errors import EmptyEval, LengthMismatch, SchemeMismatch, StructureMismatch
 from lemscript.metrics import (
     format_percent,
@@ -212,6 +212,19 @@ def test_oov_report_scheme_mismatch():
     test = _labeled([("cats", "cat")], Scheme.MORPHEUS)
     with pytest.raises(SchemeMismatch):
         oov_report(train, test)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("plain_side", ["train", "test"])
+def test_oov_report_takes_a_scheme_given_as_its_value(scheme, plain_side):
+    pairs = [("cats", "cat"), ("birds", "bird")]
+    labeled = _labeled(pairs, scheme)
+    plain = LabeledCorpus(scheme.value, labeled.sentences)
+    train, test = (plain, labeled) if plain_side == "train" else (labeled, plain)
+    assert oov_report(train, test) == oov_report(labeled, labeled)
+    other = _labeled(pairs, next(s for s in Scheme if s is not scheme))
+    with pytest.raises(SchemeMismatch):
+        oov_report(*((plain, other) if plain_side == "train" else (other, plain)))
 
 
 # --- inv/oov accuracy ---------------------------------------------------------

@@ -41,6 +41,25 @@ def test_scheme_values_are_closed():
         Scheme("lemming")
 
 
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_a_label_built_from_a_value_string_is_its_enum_twin(scheme):
+    form, lemma = "Cats", "cat"
+    text = lemscript.schemes.encode(scheme, form, lemma).text
+    plain_built, enum_built = SesLabel(scheme.value, text), SesLabel(scheme, text)
+    assert lemscript.schemes.decode(form, plain_built) == lemma
+    assert getattr(lemscript.schemes, scheme.value).decode(form, plain_built) == lemma
+    assert plain_built.scheme is scheme
+    assert repr(plain_built) == repr(enum_built)
+    assert plain_built == enum_built and hash(plain_built) == hash(enum_built)
+
+
+def test_a_label_scheme_must_be_a_scheme():
+    with pytest.raises(ValueError):
+        SesLabel("bogus", "x")
+    with pytest.raises(ValueError):
+        SesLabel(None, "x")
+
+
 def test_model_values_are_immutable():
     token = Token("cats", "cat", "NOUN", 1)
     with pytest.raises(AttributeError):

@@ -30,7 +30,7 @@ def test_decode_fixtures():
 
 
 def test_decode_length_mismatch():
-    label = SesLabel(Scheme.UDPIPE, "↓0;d¦--+o--+o")
+    label = SesLabel(Scheme.UDPIPE, "↓0;d¦----+o+o")
     with pytest.raises(LengthMismatch):
         udpipe.decode("cat", label)
 
@@ -137,6 +137,7 @@ def test_insert_payload_may_be_any_character():
     [
         ("→+-¦+¦", ("→+-", 1), ("+¦", 0)),
         ("¦++→", ("", 0), ("++→", 1)),
+        ("+-+→¦-+→", ("+-+→", 0), ("-+→", 1)),  # the rules read ops, not characters
     ],
 )
 def test_op_characters_as_insert_payloads(script, prefix, suffix):
@@ -151,6 +152,11 @@ def test_op_characters_as_insert_payloads(script, prefix, suffix):
         ("¦¦", "more than one prefix/suffix separator"),
         ("→-+x", "missing prefix/suffix separator"),
         ("", "missing prefix/suffix separator"),
+        # no encoder writes these; on cats they decoded to cat, xats and cats,
+        # where the encoder writes ↓0;d¦-, ↓0;d-+x¦ and ↓0;d¦
+        ("→¦-", "edit script has a prefix ending in a copy"),
+        ("+x-¦", "edit script has an insert followed by a delete"),
+        ("¦→→→→", "edit script has a suffix starting with a copy"),
     ],
 )
 def test_script_faults_keep_their_messages(script, message):
@@ -173,7 +179,7 @@ POSITIONS = st.builds(
     lambda zeros, n: "0" * zeros + str(n), st.integers(0, 2), st.integers(0, 3)
 )
 SEGMENTS = st.lists(st.tuples(st.sampled_from("↑↓"), POSITIONS).map("".join), min_size=1, max_size=3)
-OPS = st.lists(st.sampled_from(["→", "-", "+a", "+¦", "+-"]), max_size=3).map("".join)
+OPS = st.lists(st.sampled_from(["→", "-", "+a", "+¦", "+-", "+→"]), max_size=3).map("".join)
 LABEL_TEXT = st.tuples(SEGMENTS.map("¦".join), OPS, OPS).map(lambda p: f"{p[0]};d{p[1]}¦{p[2]}")
 
 
@@ -185,6 +191,29 @@ def test_an_accepted_text_is_its_plan_serialized(text):
     except ParseError:
         return
     assert serialized(plan) == text
+
+
+def op_marks(ops):
+    """The mark of each op in a serialized side, an insert's character dropped."""
+    marks, chars = [], iter(ops)
+    for c in chars:
+        marks.append(c)
+        if c == udpipe.INSERT_MARK:
+            next(chars)
+    return marks
+
+
+@given(st.one_of(st.text(alphabet="a↑↓01;d¦→-+", max_size=12), LABEL_TEXT))
+def test_an_accepted_plan_keeps_the_encoder_rules(text):
+    # no copy next to the root, and no insert directly before a delete
+    try:
+        plan = udpipe.parse_label.__wrapped__(text)
+    except ParseError:
+        return
+    prefix, suffix = op_marks(plan[2]), op_marks(plan[3])
+    assert prefix[-1:] != [udpipe.COPY_MARK] and suffix[:1] != [udpipe.COPY_MARK]
+    for side in (prefix, suffix):
+        assert (udpipe.INSERT_MARK, udpipe.DELETE_MARK) not in zip(side, side[1:])
 
 
 LETTERS = "abcdstzABCDSTZжуकिЖӰßİıçğşÇĞŞëË"
