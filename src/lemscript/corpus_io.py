@@ -1,12 +1,13 @@
 """Treebank ingestion, the proper-noun lemma adjustment, and labeled datasets.
 
 Input is CoNLL-U: tab-separated 10-column rows, "#" comment lines, blank
-lines between sentences, UTF-8. A word's ID is ASCII digits; multiword
-ranges (ID "N-M") and empty nodes (ID "N.M") are skipped, and any other
-ID is a format error. A LEMMA of "_" is treated as absent. Labeled
-datasets serialize as 3-column TSV (form<TAB>gold_lemma<TAB>label) and
-lemma predictions as 2-column TSV (form<TAB>lemma), each with a blank
-line after each sentence.
+lines between sentences, UTF-8. A word's ID is an ASCII number from 1
+without a leading zero; multiword ranges (ID "N-M") and empty nodes (ID
+"N.M", where N may be 0) are skipped, and any other ID is a format
+error. A LEMMA of "_" is treated as absent. Labeled datasets serialize
+as 3-column TSV (form<TAB>gold_lemma<TAB>label) and lemma predictions as
+2-column TSV (form<TAB>lemma), each with a blank line after each
+sentence.
 
 The CLI reads every file through the stages below, and none builds a
 Token. read_pairs reads CoNLL-U files once each into one table of distinct
@@ -110,12 +111,16 @@ def conllu_rows(lines: Iterable[str]) -> Iterator[tuple[list[list], list[str]]]:
 
 
 _TOKEN_ID = re.compile("[0-9]+(?:[-.][0-9]+)?")
+# the UD validator's shapes: no number has a leading zero, and only an empty node's N may be 0
+_UD_ID = re.compile(r"[1-9][0-9]*(?:-[1-9][0-9]*)?|(?:0|[1-9][0-9]*)\.[1-9][0-9]*")
 
 
 def _token_index(token_id: str, lineno: int) -> int:
     """The index of a word's ID; -1 for a multiword range N-M or an empty node N.M."""
     if not _TOKEN_ID.fullmatch(token_id):
         raise FormatError(lineno, f"non-numeric token id {token_id!r}")
+    if not _UD_ID.fullmatch(token_id):
+        raise FormatError(lineno, f"token id {token_id!r} has a number that is 0 or starts with 0")
     if not token_id.isdigit():
         return -1
     try:

@@ -1,7 +1,9 @@
 """Shared data model: tokens, sentences, corpora, scheme ids and labels.
 
 Everything here is immutable value data; instances are safe to share
-between threads and processes. The per-row types (SesLabel, Token,
+between threads and processes. A label carries the plan its decoder
+applies, so encode and decode keep no state between calls, and threads
+may encode and decode side by side. The per-row types (SesLabel, Token,
 Sentence, and corpus_io.LabeledToken) are slotted _Value classes: a
 NamedTuple instance takes one pointer more than a tuple of its fields,
 and a 3- or 4-field one 80 bytes against 64. The others are NamedTuples.
@@ -26,8 +28,8 @@ class Scheme(str, Enum):
 
 
 class _Value:
-    """An immutable record over its class's __slots__, compared, hashed and
-    shown field by field in slot order."""
+    """An immutable record over its class's __slots__, compared, hashed,
+    shown and pickled by the fields _astuple gives, by default every slot."""
 
     __slots__ = ()
 
@@ -49,7 +51,8 @@ class _Value:
         return hash(self._astuple())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        shown = zip(self.__slots__, self._astuple())
+        fields = ", ".join(f"{name}={value!r}" for name, value in shown)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:
@@ -63,15 +66,22 @@ def _setters(cls: type) -> tuple:
 
 
 class SesLabel(_Value):
-    """A textual edit-script label tagged with its Scheme (a value string is converted)."""
+    """A textual edit-script label tagged with its Scheme (a value string is converted).
 
-    __slots__ = ("scheme", "text")
+    plan is the parse of text that an encoder passes for decode to apply, or
+    None; ==, hash, repr, pickling and copying see scheme and text only."""
 
-    def __init__(self, scheme: Scheme, text: str) -> None:
+    __slots__ = ("scheme", "text", "plan")
+
+    def __init__(self, scheme: Scheme, text: str, plan: tuple | None = None) -> None:
         if not text:
             raise ValueError("label text must be non-empty")
         _set_scheme(self, scheme if type(scheme) is Scheme else Scheme(scheme))
         _set_text(self, text)
+        _set_plan(self, plan)
+
+    def _astuple(self) -> tuple:
+        return self.scheme, self.text
 
 
 class Token(_Value):
@@ -98,7 +108,7 @@ class Sentence(_Value):
         _set_comments(self, comments)
 
 
-_set_scheme, _set_text = _setters(SesLabel)
+_set_scheme, _set_text, _set_plan = _setters(SesLabel)
 _set_form, _set_lemma, _set_upos, _set_index = _setters(Token)
 _set_tokens, _set_comments = _setters(Sentence)
 

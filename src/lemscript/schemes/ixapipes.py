@@ -16,9 +16,10 @@ character; the parser rejects both, as no encoder writes them.
 "O" means the word is already its lemma; a leading "1" means the first
 character of the surface word is lowercased before the edits run.
 
-A label fresh from encode is applied from the plan encode wrote it from;
-any other goes through parse_label, which keeps the plans of the 128 most
-recently used texts. A plan is (lower_first, ((kind, index, chars), ...)).
+A label from encode carries the plan encode wrote it from, which decode
+applies; a label without one goes through parse_label, which keeps the
+plans of the 128 most recently used texts. A plan is
+(lower_first, ((kind, index, chars), ...)).
 """
 
 from __future__ import annotations
@@ -33,19 +34,15 @@ from ..model import Scheme, SesLabel
 IDENTITY = "O"
 LOWER_FLAG = "1"
 _SCHEME = Scheme.IXAPIPES
-_handed: tuple = (None, None)  # (text, plan) of the last label encode wrote
 
 
 def encode(form: str, lemma: str) -> SesLabel:
     if not form or not lemma:
         raise EmptyInput("form and lemma must be non-empty")
-    global _handed
     lower_first = char_class(form[0]) is UPPER and lemma[0] == shift_lower(form[0])
     base = shift_lower(form[0]) + form[1:] if lower_first else form
     if base == lemma:
-        text = LOWER_FLAG if lower_first else IDENTITY
-        _handed = text, (lower_first, ())
-        return SesLabel(_SCHEME, text)
+        return SesLabel(_SCHEME, LOWER_FLAG if lower_first else IDENTITY, (lower_first, ()))
 
     source = base[::-1]
     target = lemma[::-1]
@@ -78,15 +75,13 @@ def encode(form: str, lemma: str) -> SesLabel:
         tokens.append(pending)
     text = "".join([f"{kind}{index}{chars}" for kind, index, chars in tokens])
     text = LOWER_FLAG + text if lower_first else text
-    _handed = text, (lower_first, tuple(tokens))
-    return SesLabel(_SCHEME, text)
+    return SesLabel(_SCHEME, text, (lower_first, tuple(tokens)))
 
 
 def decode(form: str, label: SesLabel) -> str:
     if label.scheme is not _SCHEME:
         raise SchemeMismatch(f"expected ixapipes label, got {label.scheme.value}")
-    handed, text = _handed, label.text  # one read: another thread may encode
-    lower_first, tokens = handed[1] if text == handed[0] else parse_label(text)
+    lower_first, tokens = label.plan or parse_label(label.text)
     buffer = list(form)
     if lower_first and buffer:
         buffer[0] = shift_lower(buffer[0])

@@ -13,11 +13,12 @@ payload, a preceding delete becomes a plain replace, and a run at the
 very start is prepended into the first token. A replace that merely
 lowercases its character is re-labelled "l".
 
-A label fresh from encode is applied from the plan encode wrote it from;
-any other goes through parse_label, which keeps the plans of the 128 most
-recently used label texts. A plan is ((kind, payload), ...), one pair per
-token. encode hands over no plan when the lemma holds a "|", which a
-payload would carry into the text as a token separator.
+A label from encode carries the plan encode wrote it from, which decode
+applies; a label without one goes through parse_label, which keeps the
+plans of the 128 most recently used label texts. A plan is
+((kind, payload), ...), one pair per token. encode gives a label no plan
+when the lemma holds a "|", which a payload would carry into the text as
+a token separator.
 """
 
 from __future__ import annotations
@@ -37,17 +38,13 @@ REPLACE_MARK = "r_"
 _SCHEME = Scheme.MORPHEUS
 _PLAIN_TOKENS = {kind: (kind, "") for kind in (SAME, DEL, LOWER)}
 _SAME, _DEL, _LOWER = _PLAIN_TOKENS.values()
-_handed: tuple = (None, None)  # (text, plan) of the last label encode wrote
 
 
 def encode(form: str, lemma: str) -> SesLabel:
     if not form or not lemma:
         raise EmptyInput("form and lemma must be non-empty")
-    global _handed
     if form == lemma:
-        text = TOKEN_SEP.join(SAME * len(form))
-        _handed = text, (_SAME,) * len(form)
-        return SesLabel(_SCHEME, text)
+        return SesLabel(_SCHEME, TOKEN_SEP.join(SAME * len(form)), (_SAME,) * len(form))
 
     # one token per consuming op; a token's payload collects the inserts
     # before it (leading run only), its own character and the inserts after.
@@ -85,16 +82,14 @@ def encode(form: str, lemma: str) -> SesLabel:
     text = TOKEN_SEP.join(
         [REPLACE_MARK + payload if kind == "r" else kind for kind, payload in tokens]
     )
-    if TOKEN_SEP not in lemma:  # else a "|" in a payload splits its token in the text
-        _handed = text, tuple(tokens)
-    return SesLabel(_SCHEME, text)
+    # no plan when a "|" in a payload splits its token in the text
+    return SesLabel(_SCHEME, text, None if TOKEN_SEP in lemma else tuple(tokens))
 
 
 def decode(form: str, label: SesLabel) -> str:
     if label.scheme is not _SCHEME:
         raise SchemeMismatch(f"expected morpheus label, got {label.scheme.value}")
-    handed, text = _handed, label.text  # one read: another thread may encode
-    tokens = handed[1] if text == handed[0] else parse_label(text)
+    tokens = label.plan or parse_label(label.text)
     if len(tokens) != len(form):
         raise ArityMismatch(
             f"label has {len(tokens)} tokens for a {len(form)}-character wordform"

@@ -19,10 +19,11 @@ precedes a delete, as the aligner writes the delete first; the parser
 rejects such scripts. Casing segments index positions in the lemma; each
 segment re-cases characters from its start up to the next segment.
 
-A label fresh from encode is applied from the plan encode wrote it from;
-any other goes through parse_label, which keeps the plans of the 128 most
-recently used label texts. A plan is (absolute, segments, prefix ops,
-suffix ops, front, back), with the ops as serialized strings.
+A label from encode carries the plan encode wrote it from, which decode
+applies; a label without one goes through parse_label, which keeps the
+plans of the 128 most recently used label texts. A plan is (absolute,
+segments, prefix ops, suffix ops, front, back), with the ops as
+serialized strings.
 """
 
 from __future__ import annotations
@@ -51,21 +52,17 @@ _NEVER_ADJACENT = {
     SCRIPT_SEP + COPY_MARK: "a suffix starting with a copy",
     INSERT_MARK + DELETE_MARK: "an insert followed by a delete",
 }
-_handed: tuple = (None, None)  # (text, plan) of the last label encode wrote
 _SCHEME = Scheme.UDPIPE
 
 
 def encode(form: str, lemma: str) -> SesLabel:
     if not form or not lemma:
         raise EmptyInput("form and lemma must be non-empty")
-    global _handed
     low_form = fold_lower(form)
     low_lemma = fold_lower(lemma)
     root = longest_common_substring(low_form, low_lemma)
     if root.length == 0:
-        text = ABSOLUTE_MARK + lemma
-        _handed = text, (lemma, (), "", "", 0, 0)
-        return SesLabel(_SCHEME, text)
+        return SesLabel(_SCHEME, ABSOLUTE_MARK + lemma, (lemma, (), "", "", 0, 0))
     front = root.start_in_a
     head = low_lemma[: root.start_in_b]
     tail = low_lemma[root.start_in_b + root.length :]
@@ -73,17 +70,15 @@ def encode(form: str, lemma: str) -> SesLabel:
     suffix = _serialize_ops(min_script_align(low_form[front + root.length :], tail), tail)
     segments = _casing_segments(lemma, low_lemma)
     marks = [f"{UP_MARK if case is UPPER else DOWN_MARK}{start}" for case, start in segments]
-    text = f"{SCRIPT_SEP.join(marks)};d{prefix}{SCRIPT_SEP}{suffix}"
-    _handed = text, (None, segments, prefix, suffix, front, len(form) - front - root.length)
-    return SesLabel(_SCHEME, text)
+    plan = None, segments, prefix, suffix, front, len(form) - front - root.length
+    return SesLabel(_SCHEME, f"{SCRIPT_SEP.join(marks)};d{prefix}{SCRIPT_SEP}{suffix}", plan)
 
 
 def decode(form: str, label: SesLabel) -> str:
     if label.scheme is not _SCHEME:
         raise SchemeMismatch(f"expected udpipe label, got {label.scheme.value}")
-    handed, text = _handed, label.text  # one read: another thread may encode
     absolute, segments, prefix_ops, suffix_ops, front, back = (
-        handed[1] if text == handed[0] else parse_label(text))
+        label.plan or parse_label(label.text))
     if absolute is not None:
         return absolute
     if front + back > len(form):

@@ -14,7 +14,7 @@ immutability and instance size to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from operator import eq
 from typing import IO, Iterable, Sequence
@@ -102,10 +102,12 @@ def parse_lemmas(lines: Iterable[str]) -> list[list[str]]:
 
 @dataclass(frozen=True, slots=True)
 class SesLabel:
-    """A textual edit-script label tagged with its scheme."""
+    """A textual edit-script label tagged with its scheme, and the plan its
+    encoder passed, which is not part of its value."""
 
     scheme: Scheme
     text: str
+    plan: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.text:

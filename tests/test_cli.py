@@ -506,6 +506,19 @@ def test_format_error_names_the_path(tmp_path, capsys):
     assert f"error: {corpus}:2: expected 10 tab-separated columns" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["encode", "stats", "predict"])
+def test_a_word_id_with_a_leading_zero_names_its_line(tmp_path, capsys, command):
+    corpus = tmp_path / "ids.conllu"
+    corpus.write_text(ROW + "02\tbirds\tbird\tNOUN\t_\t_\t_\t_\t_\t_\n\n", encoding="utf-8")
+    model = tmp_path / "model.json"
+    model.write_text('{"scheme": "ixapipes", "per_form": {}, "fallback": "O"}', encoding="utf-8")
+    argv = {"encode": ["encode", str(corpus), "-", "--scheme", "udpipe"],
+            "stats": ["stats", str(corpus)],
+            "predict": ["predict", str(model), str(corpus), "-"]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {corpus}:2: token id '02'")
+
+
 def test_prediction_row_without_lemma_is_rejected(tmp_path, comparison_file, capsys):
     pred = tmp_path / "pred.tsv"
     pred.write_text("cats\tcat\n\nbirds\n\n", encoding="utf-8")

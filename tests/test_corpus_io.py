@@ -41,8 +41,10 @@ def test_parse_minimal_file():
 
 def test_multiword_range_rows_are_skipped():
     text = (
+        "0.1\tghost\tghost\t_\t_\t_\t_\t_\t_\t_\n"
         "3-4\tdel\t_\t_\t_\t_\t_\t_\t_\t_\n"
         "3\tde\tde\tADP\t_\t_\t_\t_\t_\t_\n"
+        "3.1\tghost\tghost\t_\t_\t_\t_\t_\t_\t_\n"
         "4\tel\tel\tDET\t_\t_\t_\t_\t_\t_\n"
         "4.1\tghost\tghost\t_\t_\t_\t_\t_\t_\t_\n"
     )
@@ -52,7 +54,9 @@ def test_multiword_range_rows_are_skipped():
 
 
 @pytest.mark.parametrize(
-    "token_id", ["1_0", " 2", "+3", "٣", "1-", "-1", "1.2.3", "a-b", "", "9" * 5000]
+    "token_id",
+    ["1_0", " 2", "+3", "٣", "1-", "-1", "1.2.3", "a-b", "", "9" * 5000,
+     "0", "01", "0-1", "1-02", "00.1", "1.0", "1.01"],
 )
 def test_token_id_outside_conllu_is_rejected(token_id):
     text = MINIMAL + f"{token_id}\tdogs\tdog\tNOUN\t_\t_\t_\t_\t_\t_\n"

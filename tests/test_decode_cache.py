@@ -4,13 +4,15 @@ The oracle decodes from the uncached parse_label.__wrapped__ with its own
 apply step, so it never touches a cache; it counts the characters each
 udpipe script consumes from the op strings, not from the plan. The label
 pool holds more distinct texts per scheme than the cache keeps, so
-entries are evicted and parsed again. The label encode wrote last is not
-parsed at all: decode applies the plan encode handed over with it, which
-must equal the parse of its text.
+entries are evicted and parsed again. A label from encode is not parsed
+at all: decode applies the plan the label carries, which must equal the
+parse of its text, and the label decodes as its text-only twin does.
 """
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import sys
 import threading
@@ -31,7 +33,8 @@ from lemscript.errors import (
 )
 from lemscript.model import Scheme, SesLabel
 from lemscript.schemes import decode, ixapipes, morpheus, udpipe
-from test_scheme_reference import pairs as label_pairs
+from test_acceptance import _fuzz_pairs
+from test_scheme_reference import ALPHABET, pairs as label_pairs
 
 CACHE_SIZE = 128
 MODULES = {Scheme.UDPIPE: udpipe, Scheme.IXAPIPES: ixapipes, Scheme.MORPHEUS: morpheus}
@@ -201,23 +204,66 @@ def test_malformed_labels_raise_on_every_call():
         assert [outcome(decode, "ab", label) for _ in range(3)] == [ParseError] * 3
 
 
-# --- the plan encode hands to decode ----------------------------------------
+# --- the plan a label carries ------------------------------------------------
 
 @given(st.lists(label_pairs(), max_size=5))
-def test_a_handed_plan_is_the_parse_of_its_text(pairs):
-    # decode applies the plan encode left in _handed to that exact text
-    # instead of parsing it, so the two must never differ
+def test_a_label_plan_is_the_parse_of_its_text(pairs):
+    # decode applies a label's plan instead of parsing its text, so the two
+    # must never differ; only a morpheus lemma holding "|" goes without one
     for form, lemma in pairs:
         for module in MODULES.values():
-            text = module.encode(form, lemma).text
-            handed = module._handed
-            assert handed[0] != text or handed[1] == module.parse_label.__wrapped__(text), (
-                module.__name__, form, lemma, text)
+            label = module.encode(form, lemma)
+            assert label.plan is not None or module is morpheus and "|" in lemma, label
+            assert label.plan is None or label.plan == module.parse_label.__wrapped__(
+                label.text), (module.__name__, form, lemma, label.text)
+
+
+def decoded(form, label):
+    """decode's lemma, or the class and message of its error."""
+    try:
+        return decode(form, label)
+    except LabelDecodeError as exc:
+        return type(exc), str(exc)
+
+
+@given(label_pairs(), st.lists(st.text(ALPHABET, max_size=8), max_size=4))
+def test_a_label_decodes_as_its_text_twin(pair, forms):
+    # on its own form and on others, the plan selects no other outcome
+    form, lemma = pair
+    for module in MODULES.values():
+        label = module.encode(form, lemma)
+        twin = SesLabel(label.scheme, label.text)
+        for other in [form, *forms]:
+            assert decoded(other, label) == decoded(other, twin), (label, other)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_labels_encoded_first_decode_later_without_a_parse(scheme):
+    # each label keeps its own plan, however many encodes came after it
+    module, pairs = MODULES[scheme], _fuzz_pairs(60, 5)
+    labels = [module.encode(form, lemma) for form, lemma in pairs]
+    before = module.parse_label.cache_info()
+    assert [decode(form, label) for (form, _), label in zip(pairs, labels)] == [
+        lemma for _, lemma in pairs]
+    assert module.parse_label.cache_info() == before
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_a_copied_label_is_its_text_twin(scheme):
+    # the plan is not part of a label's value: a copy drops it
+    for form, lemma in PLAN_PAIRS:
+        label = MODULES[scheme].encode(form, lemma)
+        twin = SesLabel(scheme, label.text)
+        copies = [pickle.loads(pickle.dumps(label)), copy.copy(label), copy.deepcopy(label)]
+        assert label.plan is not None and [c.plan for c in copies] == [None] * 3
+        for copied in [label, *copies]:
+            assert (copied, hash(copied), repr(copied)) == (twin, hash(twin), repr(twin))
+            assert decode(form, copied) == lemma
 
 
 class _Text(str):
     """A label text whose == runs Python code, which lets the interpreter
-    switch threads inside decode's comparison with the handed text."""
+    switch threads inside parse_label's cache lookup."""
 
     __hash__ = str.__hash__
 
@@ -229,16 +275,18 @@ def _roundtrips(pairs, rounds, wrong, done):
     for k in range(rounds):
         form, lemma = pairs[k % len(pairs)]
         scheme = list(Scheme)[k % 3]
-        label = SesLabel(scheme, _Text(MODULES[scheme].encode(form, lemma).text))
-        got = outcome(decode, form, label)
-        if got != lemma:
-            wrong.append((scheme, form, lemma, got))
+        label = MODULES[scheme].encode(form, lemma)
+        for twin in (label, SesLabel(scheme, _Text(label.text))):
+            got = outcome(decode, form, twin)
+            if got != lemma:
+                wrong.append((scheme, form, lemma, got))
     done.append(rounds)
 
 
 def test_two_threads_each_decode_their_own_labels():
-    # each decode reads _handed once, so an encode in the other thread
-    # between reading the handed text and its plan cannot swap in its plan
+    # encode and decode share no module state: a label applies its own
+    # plan, and a label without one is parsed from its own text, so an
+    # encode in the other thread cannot change what this decode applies
     rng = random.Random(8)
     pools = [[("".join(rng.choices(letters, k=rng.randint(1, 7))),
                "".join(rng.choices(letters, k=rng.randint(1, 7)))) for _ in range(50)]

@@ -1,8 +1,8 @@
 """Tripwire for state that lemscript keeps between calls.
 
 Every functools.lru_cache wrapper in the package is listed here with its
-maxsize, every module-level dict, list or set that grows while lemscript
-works, and every module-level name that lemscript rebinds. A memo keeps
+maxsize, and every module-level dict, list or set that grows while
+lemscript works; lemscript rebinds no module-level name. A memo keeps
 results from one call for the next, so a benchmark that repeats one unit
 of work can measure the memo's reuse of the previous unit instead of the
 program. A new memo therefore has to be added to CACHES, GROWING or
@@ -34,13 +34,8 @@ CACHES = {
 # str.translate tables, one entry per distinct character folded
 GROWING = {"lemscript.casing._LOWER_TABLE", "lemscript.casing._UPPER_TABLE"}
 
-# the (text, plan) each encode leaves for decode: one entry, replaced by
-# every encode, so it cannot carry one fuzz_roundtrip unit into the next
-REBOUND = {
-    "lemscript.schemes.ixapipes._handed",
-    "lemscript.schemes.morpheus._handed",
-    "lemscript.schemes.udpipe._handed",
-}
+# a label carries the plan its decode applies, so no module name is rebound
+REBOUND: set[str] = set()
 
 # Latin, Cyrillic and Turkish letters in both cases, as in the benchmark's fuzz mix
 ALPHABET = "abdekmnorstvzабвгдежзиклмноçğışöüİıABDEKÇĞŞÖÜБВГ"
