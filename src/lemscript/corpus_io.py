@@ -26,7 +26,7 @@ from collections import Counter
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from . import schemes
-from .casing import LOWER, char_class, shift_upper
+from .casing import shift_upper
 from .errors import EmptyEval, FormatError, LemscriptError, LengthMismatch, StructureMismatch
 from .model import Corpus, Scheme, Sentence, SesLabel, Token, _Value, _setters
 
@@ -193,7 +193,7 @@ def adjust_propn_lemmas(corpus: Corpus) -> Corpus:
 
 def propn_lemma(lemma: str | None, upos: str) -> str | None:
     """lemma, with a lowercase first character uppercased if upos is PROPN."""
-    if upos == "PROPN" and lemma and char_class(lemma[0]) is LOWER:
+    if upos == "PROPN" and lemma and shift_upper(lemma[0]) != lemma[0]:
         return shift_upper(lemma[0]) + lemma[1:]
     return lemma
 

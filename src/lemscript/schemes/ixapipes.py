@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ..alignment import DELETE, INSERT, MATCH, REPLACE, levenshtein_align
-from ..casing import UPPER, char_class, shift_lower
+from ..casing import shift_lower
 from ..errors import CharMismatch, EmptyInput, IndexOutOfRange, ParseError, SchemeMismatch
 from ..model import Scheme, SesLabel
 
@@ -39,7 +39,7 @@ _SCHEME = Scheme.IXAPIPES
 def encode(form: str, lemma: str) -> SesLabel:
     if not form or not lemma:
         raise EmptyInput("form and lemma must be non-empty")
-    lower_first = char_class(form[0]) is UPPER and lemma[0] == shift_lower(form[0])
+    lower_first = lemma[0] == shift_lower(form[0]) != form[0]
     base = shift_lower(form[0]) + form[1:] if lower_first else form
     if base == lemma:
         return SesLabel(_SCHEME, LOWER_FLAG if lower_first else IDENTITY, (lower_first, ()))

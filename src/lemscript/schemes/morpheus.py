@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ..alignment import DELETE, INSERT, MATCH, REPLACE, levenshtein_align
-from ..casing import UPPER, char_class, shift_lower
+from ..casing import shift_lower
 from ..errors import ArityMismatch, EmptyInput, ParseError, SchemeMismatch
 from ..model import Scheme, SesLabel
 
@@ -127,10 +127,6 @@ def _token(op: str, form_char: str, payload: str) -> tuple[str, str]:
         return _SAME
     if op == DELETE and not payload:
         return _DEL
-    if (
-        len(payload) == 1
-        and char_class(form_char) is UPPER
-        and payload == shift_lower(form_char)
-    ):
+    if len(payload) == 1 and payload == shift_lower(form_char) != form_char:
         return _LOWER
     return "r", payload

@@ -22,7 +22,8 @@ segment re-cases characters from its start up to the next segment.
 A label from encode carries the plan encode wrote it from, which decode
 applies; a label without one goes through parse_label, which keeps the
 plans of the 128 most recently used label texts. A plan is (absolute,
-segments, prefix ops, suffix ops, front, back), with the ops as
+segments, prefix ops, suffix ops, front, back), with each segment a
+(mark, start) pair holding the label's own "↑" or "↓" and the ops as
 serialized strings.
 """
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ..alignment import DELETE, INSERT, MATCH, longest_common_substring, min_script_align
-from ..casing import LOWER, UPPER, CaseClass, fold_lower, fold_upper
+from ..casing import fold_lower, fold_upper
 from ..errors import EmptyInput, LengthMismatch, ParseError, SchemeMismatch
 from ..model import Scheme, SesLabel
 
@@ -44,8 +45,7 @@ INSERT_MARK = "+"
 ABSOLUTE_MARK = "a"
 RULE_MARK = ";d"
 
-_DIRECTIONS = {UP_MARK: UPPER, DOWN_MARK: LOWER}
-_LOWER_ONLY = ((LOWER, 0),)
+_LOWER_ONLY = ((DOWN_MARK, 0),)
 # marks no encoder writes side by side (see the module docstring)
 _NEVER_ADJACENT = {
     COPY_MARK + SCRIPT_SEP: "a prefix ending in a copy",
@@ -69,7 +69,7 @@ def encode(form: str, lemma: str) -> SesLabel:
     prefix = _serialize_ops(min_script_align(low_form[:front], head), head)
     suffix = _serialize_ops(min_script_align(low_form[front + root.length :], tail), tail)
     segments = _casing_segments(lemma, low_lemma)
-    marks = [f"{UP_MARK if case is UPPER else DOWN_MARK}{start}" for case, start in segments]
+    marks = [f"{mark}{start}" for mark, start in segments]
     plan = None, segments, prefix, suffix, front, len(form) - front - root.length
     return SesLabel(_SCHEME, f"{SCRIPT_SEP.join(marks)};d{prefix}{SCRIPT_SEP}{suffix}", plan)
 
@@ -135,11 +135,11 @@ def parse_label(text: str) -> tuple:
     return None, segments, script[:split], script[split + 1 :], front, consumed
 
 
-def _parse_casing(casing: str) -> tuple[tuple[CaseClass, int], ...]:
-    segments: list[tuple[CaseClass, int]] = []
+def _parse_casing(casing: str) -> tuple[tuple[str, int], ...]:
+    segments: list[tuple[str, int]] = []
     for seg in casing.split(SCRIPT_SEP):
-        direction = _DIRECTIONS.get(seg[:1])
-        if direction is None:
+        direction = seg[:1]
+        if direction not in (UP_MARK, DOWN_MARK):
             raise ParseError(f"expected casing segment, got {seg!r}")
         digits = seg[1:]
         if not (digits.isdigit() and digits.isascii()):
@@ -152,7 +152,7 @@ def _parse_casing(casing: str) -> tuple[tuple[CaseClass, int], ...]:
             raise ParseError("casing position too long") from None
         # the encoder opens at 0, then alternates direction at increasing positions
         if segments:
-            if position <= segments[-1][1] or direction is segments[-1][0]:
+            if position <= segments[-1][1] or direction == segments[-1][0]:
                 raise ParseError(f"non-canonical casing segment {seg!r}")
         elif position:
             raise ParseError("first casing segment must start at 0")
@@ -160,7 +160,7 @@ def _parse_casing(casing: str) -> tuple[tuple[CaseClass, int], ...]:
     return tuple(segments)
 
 
-def _casing_segments(lemma: str, low_lemma: str) -> tuple[tuple[CaseClass, int], ...]:
+def _casing_segments(lemma: str, low_lemma: str) -> tuple[tuple[str, int], ...]:
     # the segment at 0 takes the class of the first cased character;
     # caseless characters continue the running class; lower when none.
     # fold_lower and fold_upper change exactly the upper and the lower
@@ -169,17 +169,17 @@ def _casing_segments(lemma: str, low_lemma: str) -> tuple[tuple[CaseClass, int],
         return _LOWER_ONLY
     up_lemma = fold_upper(lemma)
     if up_lemma == lemma:
-        return ((UPPER, 0),)
-    segments: list[tuple[CaseClass, int]] = []
+        return ((UP_MARK, 0),)
+    segments: list[tuple[str, int]] = []
     current = None
     for pos, ch in enumerate(lemma):
         if ch != low_lemma[pos]:
-            direction = UPPER
+            direction = UP_MARK
         elif ch != up_lemma[pos]:
-            direction = LOWER
+            direction = DOWN_MARK
         else:
             continue
-        if direction is not current:
+        if direction != current:
             segments.append((direction, pos if segments else 0))
             current = direction
     return tuple(segments)
@@ -218,13 +218,13 @@ def _replay(ops: str, source: str) -> str:
     return "".join(out)
 
 
-def _apply_casing(text: str, segments: tuple[tuple[CaseClass, int], ...]) -> str:
+def _apply_casing(text: str, segments: tuple[tuple[str, int], ...]) -> str:
     if len(segments) == 1:
         direction = segments[0][0]
-        return fold_upper(text) if direction is UPPER else fold_lower(text)
+        return fold_upper(text) if direction == UP_MARK else fold_lower(text)
     parts = []
     for k, (direction, start) in enumerate(segments):
         end = segments[k + 1][1] if k + 1 < len(segments) else len(text)
         piece = text[start:end]
-        parts.append(fold_upper(piece) if direction is UPPER else fold_lower(piece))
+        parts.append(fold_upper(piece) if direction == UP_MARK else fold_lower(piece))
     return "".join(parts)

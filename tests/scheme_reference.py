@@ -7,15 +7,17 @@ encoder finds its root with the quadratic longest-common-substring table
 of the same time. `reference_encode(scheme, form, lemma)` returns the
 label text the matching encoder writes, so the tests can require equal
 labels. Only the encoders are kept: the decoders have been tightened on
-purpose since, so they are no oracle.
+purpose since, so they are no oracle. The casing rule is kept too, as it
+was first written, with its shift and a per-character fold built on it,
+so that a fault in lemscript.casing cannot reach both sides of a test.
 """
 
 from __future__ import annotations
 
+from enum import Enum
 from typing import NamedTuple
 
 from align_reference import DELETE, INSERT, MATCH, AlignOp, levenshtein_align, min_script_align
-from lemscript.casing import CaseClass, char_class, fold_lower, shift_lower
 from lemscript.errors import EmptyInput
 from lemscript.model import Scheme
 
@@ -23,6 +25,44 @@ from lemscript.model import Scheme
 def reference_encode(scheme: Scheme, form: str, lemma: str) -> str:
     """The label text the reference encoder of scheme writes for the pair."""
     return _ENCODERS[Scheme(scheme)](form, lemma)
+
+
+# --- the casing rule, as it stood in lemscript.casing ---------------------
+
+class CaseClass(Enum):
+    UPPER = "upper"
+    LOWER = "lower"
+
+
+def char_class(ch: str) -> CaseClass | None:
+    """Classify a single character as UPPER, LOWER, or caseless (None)."""
+    lo = ch.lower()
+    if len(lo) == 1 and lo != ch and lo.upper() == ch:
+        return CaseClass.UPPER
+    up = ch.upper()
+    if len(up) == 1 and up != ch and up.lower() == ch:
+        return CaseClass.LOWER
+    return None
+
+
+def shift_lower(ch: str) -> str:
+    """Lowercase one character, but only if it is invertibly uppercase."""
+    return ch.lower() if char_class(ch) is CaseClass.UPPER else ch
+
+
+def shift_upper(ch: str) -> str:
+    """Uppercase one character, but only if it is invertibly lowercase."""
+    return ch.upper() if char_class(ch) is CaseClass.LOWER else ch
+
+
+def fold_lower(text: str) -> str:
+    """shift_lower on every character."""
+    return "".join(map(shift_lower, text))
+
+
+def fold_upper(text: str) -> str:
+    """shift_upper on every character."""
+    return "".join(map(shift_upper, text))
 
 
 # --- the longest common substring, as it stood in lemscript.alignment ----

@@ -1,10 +1,11 @@
 """Decoders keep parsed labels in a bounded cache; caching changes no outcome.
 
 The oracle decodes from the uncached parse_label.__wrapped__ with its own
-apply step, so it never touches a cache; it counts the characters each
-udpipe script consumes from the op strings, not from the plan. The label
-pool holds more distinct texts per scheme than the cache keeps, so
-entries are evicted and parsed again. A label from encode is not parsed
+apply step and the casing rule of scheme_reference, so it never touches a
+cache or lemscript.casing; it counts the characters each udpipe script
+consumes from the op strings, not from the plan. The label pool holds
+more distinct texts per scheme than the cache keeps, so entries are
+evicted and parsed again. A label from encode is not parsed
 at all: decode applies the plan the label carries, which must equal the
 parse of its text, and the label decodes as its text-only twin does.
 """
@@ -22,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import COMPARISON_PAIRS
-from lemscript.casing import CaseClass, fold_lower, fold_upper, shift_lower
 from lemscript.errors import (
     ArityMismatch,
     CharMismatch,
@@ -33,6 +33,7 @@ from lemscript.errors import (
 )
 from lemscript.model import Scheme, SesLabel
 from lemscript.schemes import decode, ixapipes, morpheus, udpipe
+from scheme_reference import fold_lower, fold_upper, shift_lower
 from test_acceptance import _fuzz_pairs
 from test_scheme_reference import ALPHABET, pairs as label_pairs
 
@@ -76,7 +77,7 @@ def reference_udpipe(form, text):
     )
     starts = [start for _, start in segments[1:]] + [len(word)]
     return "".join(
-        (fold_upper if direction is CaseClass.UPPER else fold_lower)(word[start:end])
+        (fold_upper if direction == "↑" else fold_lower)(word[start:end])
         for (direction, start), end in zip(segments, starts)
     )
 
@@ -181,7 +182,7 @@ PLAN_PAIRS = COMPARISON_PAIRS + [
 def _immutable(value):
     if type(value) is tuple:
         return all(_immutable(item) for item in value)
-    return value is None or type(value) in (str, int, bool, CaseClass)
+    return value is None or type(value) in (str, int, bool)
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))

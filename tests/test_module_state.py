@@ -25,7 +25,6 @@ import pytest
 import lemscript
 
 CACHES = {
-    "lemscript.casing.char_class": None,  # one entry per distinct character
     "lemscript.schemes.ixapipes.parse_label": 128,
     "lemscript.schemes.morpheus.parse_label": 128,
     "lemscript.schemes.udpipe.parse_label": 128,

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import COMPARISON_LABELS, COMPARISON_PAIRS
-from lemscript.casing import LOWER, UPPER
 from lemscript.errors import EmptyInput, LengthMismatch, ParseError, SchemeMismatch
 from lemscript.model import Scheme, SesLabel
 from lemscript.schemes import udpipe
@@ -168,8 +167,7 @@ def serialized(plan):
     absolute, segments, prefix_ops, suffix_ops, _, _ = plan
     if absolute is not None:
         return udpipe.ABSOLUTE_MARK + absolute
-    marks = {UPPER: udpipe.UP_MARK, LOWER: udpipe.DOWN_MARK}
-    casing = udpipe.SCRIPT_SEP.join(f"{marks[direction]}{start}" for direction, start in segments)
+    casing = udpipe.SCRIPT_SEP.join(f"{direction}{start}" for direction, start in segments)
     return f"{casing}{udpipe.RULE_MARK}{prefix_ops}{udpipe.SCRIPT_SEP}{suffix_ops}"
 
 
