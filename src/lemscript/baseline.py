@@ -168,6 +168,6 @@ def _predict(
         text = model.fallback
     label = labels.get(text)
     if label is None:
-        label = labels[text] = SesLabel(model.scheme, text)
+        label = labels[text] = schemes.from_text(model.scheme, text)
     lemma, failed = schemes.decode_or_form(form, label)
     return lemma, used_fallback, failed

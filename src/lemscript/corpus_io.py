@@ -314,13 +314,16 @@ def write_labeled(labeled: LabeledCorpus, fp: IO[str]) -> None:
 
 def parse_labeled(lines: Iterable[str], scheme: Scheme) -> LabeledCorpus:
     scheme = Scheme(scheme)
+    labels: dict[str, SesLabel] = {}
     sentences: list[tuple[LabeledToken, ...]] = []
     for rows in _tsv_sentences(lines, 3):
         row: list[LabeledToken] = []
-        for lineno, (form, lemma, label_text) in rows:
-            if not label_text:
+        for lineno, (form, lemma, text) in rows:
+            if not text:
                 raise FormatError(lineno, "empty label column")
-            row.append(LabeledToken(form, lemma, SesLabel(scheme, label_text)))
+            if text not in labels:
+                labels[text] = schemes.from_text(scheme, text)
+            row.append(LabeledToken(form, lemma, labels[text]))
         sentences.append(tuple(row))
     return LabeledCorpus(scheme, tuple(sentences))
 
@@ -339,7 +342,7 @@ def decode_rows(lines: Iterable[str], scheme: Scheme, out: IO[str]) -> int:
             if label is None:
                 if not text:
                     raise FormatError(lineno, "empty label column")
-                label = labels[text] = SesLabel(scheme, text)
+                label = labels[text] = schemes.from_text(scheme, text)
             lemma, failed = schemes.decode_or_form(form, label)
             failures += failed
             out.write(f"{form}\t{lemma}\n")

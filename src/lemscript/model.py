@@ -1,8 +1,8 @@
 """Shared data model: tokens, sentences, corpora, scheme ids and labels.
 
 Everything here is immutable value data; instances are safe to share
-between threads and processes. A label carries the plan its decoder
-applies, so encode and decode keep no state between calls, and threads
+between threads and processes. Nothing caches a plan: a label carries
+its own, so encode and decode keep no state between calls, and threads
 may encode and decode side by side. The per-row types (SesLabel, Token,
 Sentence, and corpus_io.LabeledToken) are slotted _Value classes: a
 NamedTuple instance takes one pointer more than a tuple of its fields,
@@ -68,8 +68,8 @@ def _setters(cls: type) -> tuple:
 class SesLabel(_Value):
     """A textual edit-script label tagged with its Scheme (a value string is converted).
 
-    plan is the parse of text that an encoder passes for decode to apply, or
-    None; ==, hash, repr, pickling and copying see scheme and text only."""
+    plan is the parse of text that decode applies, or None; ==, hash,
+    repr, pickling and copying see scheme and text only."""
 
     __slots__ = ("scheme", "text", "plan")
 

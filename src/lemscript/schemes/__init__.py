@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..errors import LabelDecodeError
+from ..errors import LabelDecodeError, ParseError
 from ..model import Scheme, SesLabel
 from . import ixapipes, morpheus, udpipe
 
@@ -14,6 +14,15 @@ def encode(scheme: Scheme, form: str, lemma: str) -> SesLabel:
     """Encode a (form, lemma) pair under the given scheme."""
     module = _MODULES[scheme] if type(scheme) is Scheme else _MODULES[Scheme(scheme)]
     return module.encode(form, lemma)
+
+
+def from_text(scheme: Scheme, text: str) -> SesLabel:
+    """The label of a text read from outside, with its plan, or without one
+    when the text does not parse, so that each decode raises its ParseError."""
+    try:
+        return SesLabel(scheme, text, _MODULES[Scheme(scheme)].parse_label(text))
+    except ParseError:
+        return SesLabel(scheme, text)
 
 
 def decode(form: str, label: SesLabel) -> str:

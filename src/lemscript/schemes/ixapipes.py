@@ -16,15 +16,12 @@ character; the parser rejects both, as no encoder writes them.
 "O" means the word is already its lemma; a leading "1" means the first
 character of the surface word is lowercased before the edits run.
 
-A label from encode carries the plan encode wrote it from, which decode
-applies; a label without one goes through parse_label, which keeps the
-plans of the 128 most recently used texts. A plan is
+A label from encode or schemes.from_text carries the plan decode
+applies; decode parses the text of a label without one. A plan is
 (lower_first, ((kind, index, chars), ...)).
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from ..alignment import DELETE, INSERT, MATCH, REPLACE, levenshtein_align
 from ..casing import shift_lower
@@ -104,7 +101,6 @@ def decode(form: str, label: SesLabel) -> str:
     return "".join(buffer)
 
 
-@lru_cache(maxsize=128)
 def parse_label(text: str) -> tuple[bool, tuple[tuple[str, int, str], ...]]:
     """Parse into (lower_first, tokens in label order); a token is
     (kind, index, chars), with chars old+new for R and one character else.

@@ -13,17 +13,14 @@ payload, a preceding delete becomes a plain replace, and a run at the
 very start is prepended into the first token. A replace that merely
 lowercases its character is re-labelled "l".
 
-A label from encode carries the plan encode wrote it from, which decode
-applies; a label without one goes through parse_label, which keeps the
-plans of the 128 most recently used label texts. A plan is
+A label from encode or schemes.from_text carries the plan decode
+applies; decode parses the text of a label without one. A plan is
 ((kind, payload), ...), one pair per token. encode gives a label no plan
 when the lemma holds a "|", which a payload would carry into the text as
 a token separator.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from ..alignment import DELETE, INSERT, MATCH, REPLACE, levenshtein_align
 from ..casing import shift_lower
@@ -106,7 +103,6 @@ def decode(form: str, label: SesLabel) -> str:
     return "".join(out)
 
 
-@lru_cache(maxsize=128)
 def parse_label(text: str) -> tuple[tuple[str, str], ...]:
     """Split a label into (kind, payload) pairs; payload for replaces only."""
     if not text:

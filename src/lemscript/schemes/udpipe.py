@@ -19,17 +19,14 @@ precedes a delete, as the aligner writes the delete first; the parser
 rejects such scripts. Casing segments index positions in the lemma; each
 segment re-cases characters from its start up to the next segment.
 
-A label from encode carries the plan encode wrote it from, which decode
-applies; a label without one goes through parse_label, which keeps the
-plans of the 128 most recently used label texts. A plan is (absolute,
-segments, prefix ops, suffix ops, front, back), with each segment a
-(mark, start) pair holding the label's own "↑" or "↓" and the ops as
-serialized strings.
+A label from encode or schemes.from_text carries the plan decode
+applies; decode parses the text of a label without one. A plan is
+(absolute, segments, prefix ops, suffix ops, front, back), with each
+segment a (mark, start) pair holding the label's own "↑" or "↓" and the
+ops as serialized strings.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from ..alignment import DELETE, INSERT, MATCH, longest_common_substring, min_script_align
 from ..casing import fold_lower, fold_upper
@@ -92,7 +89,6 @@ def decode(form: str, label: SesLabel) -> str:
     return _apply_casing(head + lowered[front:back_start] + tail, segments)
 
 
-@lru_cache(maxsize=128)
 def parse_label(text: str) -> tuple:
     """Parse a label into (absolute, segments, prefix ops, suffix ops,
     characters the prefix consumes, characters the suffix consumes).

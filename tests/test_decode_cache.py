@@ -1,13 +1,14 @@
-"""Decoders keep parsed labels in a bounded cache; caching changes no outcome.
+"""The plan a label carries changes no outcome, wherever the label comes from.
 
-The oracle decodes from the uncached parse_label.__wrapped__ with its own
-apply step and the casing rule of scheme_reference, so it never touches a
-cache or lemscript.casing; it counts the characters each udpipe script
-consumes from the op strings, not from the plan. The label pool holds
-more distinct texts per scheme than the cache keeps, so entries are
-evicted and parsed again. A label from encode is not parsed
-at all: decode applies the plan the label carries, which must equal the
-parse of its text, and the label decodes as its text-only twin does.
+The oracle decodes from parse_label with its own apply step and the
+casing rule of scheme_reference, so it never touches lemscript.casing;
+it counts the characters each udpipe script consumes from the op
+strings, not from the plan. A label from encode is not parsed at all:
+decode applies the plan the label carries, which must equal the parse of
+its text, and the label decodes as its text-only twin does. A label read
+as text gets its plan from schemes.from_text, and every reader parses
+each distinct text once per call; a text that does not parse gives a
+label without a plan, which raises its ParseError on every decode.
 """
 
 from __future__ import annotations
@@ -17,12 +18,15 @@ import pickle
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import COMPARISON_PAIRS
+from conftest import COMPARISON_PAIRS, corpus_of
+from lemscript.cli import main
+from lemscript.corpus_io import parse_labeled, write_conllu
 from lemscript.errors import (
     ArityMismatch,
     CharMismatch,
@@ -32,12 +36,11 @@ from lemscript.errors import (
     ParseError,
 )
 from lemscript.model import Scheme, SesLabel
-from lemscript.schemes import decode, ixapipes, morpheus, udpipe
+from lemscript.schemes import decode, from_text, ixapipes, morpheus, udpipe
 from scheme_reference import fold_lower, fold_upper, shift_lower
 from test_acceptance import _fuzz_pairs
 from test_scheme_reference import ALPHABET, pairs as label_pairs
 
-CACHE_SIZE = 128
 MODULES = {Scheme.UDPIPE: udpipe, Scheme.IXAPIPES: ixapipes, Scheme.MORPHEUS: morpheus}
 
 
@@ -61,7 +64,7 @@ def _replay(ops, source):
 
 
 def reference_udpipe(form, text):
-    absolute, segments, prefix_ops, suffix_ops, _, _ = udpipe.parse_label.__wrapped__(text)
+    absolute, segments, prefix_ops, suffix_ops, _, _ = udpipe.parse_label(text)
     if absolute is not None:
         return absolute
     prefix_ops, suffix_ops = _ops(prefix_ops), _ops(suffix_ops)
@@ -83,7 +86,7 @@ def reference_udpipe(form, text):
 
 
 def reference_ixapipes(form, text):
-    lower_first, tokens = ixapipes.parse_label.__wrapped__(text)
+    lower_first, tokens = ixapipes.parse_label(text)
     word = form[::-1]
     if lower_first and word:
         word = word[:-1] + shift_lower(word[-1])
@@ -102,7 +105,7 @@ def reference_ixapipes(form, text):
 
 
 def reference_morpheus(form, text):
-    tokens = morpheus.parse_label.__wrapped__(text)
+    tokens = morpheus.parse_label(text)
     if len(tokens) != len(form):
         raise ArityMismatch("one token per character")
     word = ""
@@ -149,23 +152,17 @@ def _pool(seed=3, pairs=200):
 FORMS, TEXTS = _pool()
 
 
-def test_the_pool_overflows_every_cache():
-    assert all(len(found) > CACHE_SIZE for found in TEXTS.values())
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32))
-def test_cached_decode_matches_parse_label_and_an_uncached_apply(seed):
+def test_decode_matches_a_reference_apply_of_parse_label(seed):
     # every label twice, schemes interleaved, each time on a random form
     rng = random.Random(seed)
     calls = [(scheme, text) for scheme, found in TEXTS.items() for text in found] * 2
     rng.shuffle(calls)
     for scheme, text in calls:
         form = rng.choice(FORMS)
-        cached = outcome(decode, form, SesLabel(scheme, text))
-        assert cached == outcome(REFERENCES[scheme], form, text), (scheme, form, text)
-    for module in MODULES.values():
-        assert module.parse_label.cache_info().currsize <= CACHE_SIZE
+        got = outcome(decode, form, SesLabel(scheme, text))
+        assert got == outcome(REFERENCES[scheme], form, text), (scheme, form, text)
 
 
 # encoder pairs that reach every plan part: an absolute lemma, casing in
@@ -187,22 +184,26 @@ def _immutable(value):
 
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_parse_label_returns_one_immutable_plan(scheme):
-    # every later decode of the text shares the cached plan, so no caller
-    # may be able to change it
+    # every decode of a label read as text shares the plan from_text gave
+    # it, so no caller may be able to change it
     module = MODULES[scheme]
     for form, lemma in PLAN_PAIRS:
         text = module.encode(form, lemma).text
         plan = module.parse_label(text)
         assert _immutable(plan), (text, plan)
-        assert module.parse_label(text) is plan, text
+
+
+MALFORMED = {Scheme.UDPIPE: "↓0;d", Scheme.IXAPIPES: "D01a", Scheme.MORPHEUS: "q"}
 
 
 def test_malformed_labels_raise_on_every_call():
-    # the cache stores no exceptions, so a bad label is rejected every time
-    bad = {Scheme.UDPIPE: "↓0;d", Scheme.IXAPIPES: "D01a", Scheme.MORPHEUS: "q"}
-    for scheme, text in bad.items():
-        label = SesLabel(scheme, text)
-        assert [outcome(decode, "ab", label) for _ in range(3)] == [ParseError] * 3
+    # a text that does not parse gets no plan, so every decode of it parses
+    # it again and raises the ParseError that the plan-less twin raises
+    for scheme, text in MALFORMED.items():
+        label, twin = from_text(scheme, text), SesLabel(scheme, text)
+        assert label.plan is None and label == twin
+        assert [decoded("ab", label) for _ in range(3)] == [decoded("ab", twin)] * 3
+        assert decoded("ab", label)[0] is ParseError
 
 
 # --- the plan a label carries ------------------------------------------------
@@ -215,7 +216,7 @@ def test_a_label_plan_is_the_parse_of_its_text(pairs):
         for module in MODULES.values():
             label = module.encode(form, lemma)
             assert label.plan is not None or module is morpheus and "|" in lemma, label
-            assert label.plan is None or label.plan == module.parse_label.__wrapped__(
+            assert label.plan is None or label.plan == module.parse_label(
                 label.text), (module.__name__, form, lemma, label.text)
 
 
@@ -239,14 +240,14 @@ def test_a_label_decodes_as_its_text_twin(pair, forms):
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
-def test_labels_encoded_first_decode_later_without_a_parse(scheme):
+def test_labels_encoded_first_decode_later_without_a_parse(scheme, monkeypatch):
     # each label keeps its own plan, however many encodes came after it
     module, pairs = MODULES[scheme], _fuzz_pairs(60, 5)
     labels = [module.encode(form, lemma) for form, lemma in pairs]
-    before = module.parse_label.cache_info()
+    parses = counted_parses(monkeypatch)
     assert [decode(form, label) for (form, _), label in zip(pairs, labels)] == [
         lemma for _, lemma in pairs]
-    assert module.parse_label.cache_info() == before
+    assert parses == Counter()
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
@@ -262,22 +263,12 @@ def test_a_copied_label_is_its_text_twin(scheme):
             assert decode(form, copied) == lemma
 
 
-class _Text(str):
-    """A label text whose == runs Python code, which lets the interpreter
-    switch threads inside parse_label's cache lookup."""
-
-    __hash__ = str.__hash__
-
-    def __eq__(self, other):
-        return str.__eq__(self, other)
-
-
 def _roundtrips(pairs, rounds, wrong, done):
     for k in range(rounds):
         form, lemma = pairs[k % len(pairs)]
         scheme = list(Scheme)[k % 3]
         label = MODULES[scheme].encode(form, lemma)
-        for twin in (label, SesLabel(scheme, _Text(label.text))):
+        for twin in (label, SesLabel(scheme, label.text), from_text(scheme, label.text)):
             got = outcome(decode, form, twin)
             if got != lemma:
                 wrong.append((scheme, form, lemma, got))
@@ -286,8 +277,9 @@ def _roundtrips(pairs, rounds, wrong, done):
 
 def test_two_threads_each_decode_their_own_labels():
     # encode and decode share no module state: a label applies its own
-    # plan, and a label without one is parsed from its own text, so an
-    # encode in the other thread cannot change what this decode applies
+    # plan, from encode or from_text, and a label without one is parsed
+    # from its own text, so an encode in the other thread cannot change
+    # what this decode applies
     rng = random.Random(8)
     pools = [[("".join(rng.choices(letters, k=rng.randint(1, 7))),
                "".join(rng.choices(letters, k=rng.randint(1, 7)))) for _ in range(50)]
@@ -306,3 +298,71 @@ def test_two_threads_each_decode_their_own_labels():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert (wrong, done) == ([], [5000, 5000])
+
+
+# --- labels read as text -------------------------------------------------------
+
+def counted_parses(monkeypatch):
+    """A Counter of (scheme, text) that counts each call of a scheme's
+    parse_label, wrapped where decode and from_text look it up."""
+    parses = Counter()
+    for scheme, module in MODULES.items():
+        def parse(text, scheme=scheme, parse_label=module.parse_label):
+            parses[scheme, text] += 1
+            return parse_label(text)
+        monkeypatch.setattr(module, "parse_label", parse)
+    return parses
+
+
+# words that share one label text under every scheme; the unseen words of
+# APPLIED take it as the fallback label
+TRAIN_PAIRS = [("cats", "cat"), ("dogs", "dog"), ("rats", "rat"), ("hens", "hen"), ("owls", "owl")]
+APPLIED = ["cats", "dogs", "cats", "rats", "bats", "hens", "gnus", "dogs"]
+
+
+def _write_conllu(path, pairs):
+    with open(path, "w", encoding="utf-8") as fp:
+        write_conllu(corpus_of(pairs, sentence_size=3), fp)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_predict_parses_each_label_text_once(scheme, tmp_path, monkeypatch):
+    train, applied = tmp_path / "train.conllu", tmp_path / "applied.conllu"
+    model, out = tmp_path / "model.json", tmp_path / "pred.tsv"
+    _write_conllu(train, TRAIN_PAIRS)
+    _write_conllu(applied, [(form, form) for form in APPLIED])
+    assert main(["train", str(train), str(model), "--scheme", scheme.value]) == 0
+    parses = counted_parses(monkeypatch)
+    assert main(["predict", str(model), str(applied), str(out)]) == 0
+    assert parses and max(parses.values()) == 1, parses
+    lemmas = [line.split("\t")[1] for line in out.read_text(encoding="utf-8").split("\n") if line]
+    assert lemmas == [form[:-1] for form in APPLIED]
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_decode_parses_each_label_text_once(scheme, tmp_path, monkeypatch, capsys):
+    # a text that does not parse is parsed again, and fails, at each decode
+    conllu, labeled, out = tmp_path / "in.conllu", tmp_path / "in.tsv", tmp_path / "out.tsv"
+    _write_conllu(conllu, TRAIN_PAIRS * 2)
+    assert main(["encode", str(conllu), str(labeled), "--scheme", scheme.value]) == 0
+    bad = MALFORMED[scheme]
+    with open(labeled, "a", encoding="utf-8") as fp:
+        fp.write(f"cats\tcat\t{bad}\ndogs\tdog\t{bad}\n\n")
+    parses = counted_parses(monkeypatch)
+    assert main(["decode", str(labeled), str(out), "--scheme", scheme.value]) == 0
+    assert parses.pop((scheme, bad)) == 3
+    assert parses and max(parses.values()) == 1, parses
+    assert "2 label(s) failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_parse_labeled_rows_share_one_label_with_its_plan(scheme):
+    module = MODULES[scheme]
+    rows = [f"{form}\t{lemma}\t{module.encode(form, lemma).text}\n" for form, lemma in TRAIN_PAIRS]
+    labeled = parse_labeled([*rows, "\n"] * 2, scheme)
+    labels = [tok.label for sentence in labeled.sentences for tok in sentence]
+    shared = {}
+    for label in labels:
+        assert shared.setdefault(label.text, label) is label
+        assert label.plan == module.parse_label(label.text), label
+    assert len(shared) < len(labels)

@@ -194,7 +194,7 @@ def test_an_accepted_text_is_its_plan_serialized(text):
     # the parser accepts only the encoder's serialization of the plan it returns
     for candidate in (text, ixapipes.LOWER_FLAG + text):
         try:
-            plan = ixapipes.parse_label.__wrapped__(candidate)
+            plan = ixapipes.parse_label(candidate)
         except ParseError:
             continue
         assert serialized(plan) == candidate
@@ -211,7 +211,7 @@ RULE_BREAKER = st.one_of(
 def test_an_accepted_plan_keeps_the_encoder_rules(text):
     for candidate in (text, ixapipes.LOWER_FLAG + text):
         try:
-            _, tokens = ixapipes.parse_label.__wrapped__(candidate)
+            _, tokens = ixapipes.parse_label(candidate)
         except ParseError:
             continue
         assert all(chars[0] != chars[1] for kind, _, chars in tokens if kind == "R")

@@ -1,13 +1,13 @@
 """Tripwire for state that lemscript keeps between calls.
 
-Every functools.lru_cache wrapper in the package is listed here with its
-maxsize, and every module-level dict, list or set that grows while
-lemscript works; lemscript rebinds no module-level name. A memo keeps
-results from one call for the next, so a benchmark that repeats one unit
-of work can measure the memo's reuse of the previous unit instead of the
-program. A new memo therefore has to be added to CACHES, GROWING or
-REBOUND, with a note in CHANGES.md on why it cannot carry one
-fuzz_roundtrip unit's results into the next.
+lemscript keeps no functools.lru_cache, so CACHES, which would list each
+one with its maxsize, is empty. Every module-level dict, list or set that
+grows while lemscript works is listed here; lemscript rebinds no
+module-level name. A memo keeps results from one call for the next, so a
+benchmark that repeats one unit of work can measure the memo's reuse of
+the previous unit instead of the program. A new memo therefore has to be
+added to CACHES, GROWING or REBOUND, with a note in CHANGES.md on why it
+cannot carry one fuzz_roundtrip unit's results into the next.
 """
 
 from __future__ import annotations
@@ -24,11 +24,9 @@ import pytest
 
 import lemscript
 
-CACHES = {
-    "lemscript.schemes.ixapipes.parse_label": 128,
-    "lemscript.schemes.morpheus.parse_label": 128,
-    "lemscript.schemes.udpipe.parse_label": 128,
-}
+# a label read as text gets its plan from schemes.from_text, once per
+# distinct text in each reader's own memo
+CACHES: dict[str, int | None] = {}
 
 # str.translate tables, one entry per distinct character folded
 GROWING = {"lemscript.casing._LOWER_TABLE", "lemscript.casing._UPPER_TABLE"}

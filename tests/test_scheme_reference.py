@@ -4,8 +4,11 @@ The roundtrip and totality tests check only that a label decodes back
 to its lemma, so an encoder that wrote another valid label would pass
 them. These tests pin the label text itself against the encoders of
 `scheme_reference`. The property draws from both cases, a non-ASCII
-letter, digits and the marker characters of the three label grammars,
-where serializers go wrong.
+letter, the dotless i and the dotted capital I, digits and the marker
+characters of the three label grammars, where serializers go wrong.
+Neither Turkish i is invertible: "ı" uppercases to "I", which lowercases
+to "i", and "İ" lowercases to two code points, so a casing rule that
+shifts them shows here.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from lemscript.schemes import encode
 from scheme_reference import reference_encode
 from test_acceptance import _fuzz_pairs
 
-# both cases, a non-ASCII letter in both cases, digits and every marker
-ALPHABET = "abAB" + "ğĞ" + "019" + "¦→|_;-+IDR1O"
+# both cases, a non-ASCII letter in both cases, the two Turkish i's that
+# have no case partner, digits and every marker
+ALPHABET = "abAB" + "ğĞ" + "ıİ" + "019" + "¦→|_;-+IDR1O"
 
 words = st.text(ALPHABET, min_size=1, max_size=8)
 

@@ -185,7 +185,7 @@ LABEL_TEXT = st.tuples(SEGMENTS.map("¦".join), OPS, OPS).map(lambda p: f"{p[0]}
 def test_an_accepted_text_is_its_plan_serialized(text):
     # the parser accepts only the encoder's serialization of the plan it returns
     try:
-        plan = udpipe.parse_label.__wrapped__(text)
+        plan = udpipe.parse_label(text)
     except ParseError:
         return
     assert serialized(plan) == text
@@ -205,7 +205,7 @@ def op_marks(ops):
 def test_an_accepted_plan_keeps_the_encoder_rules(text):
     # no copy next to the root, and no insert directly before a delete
     try:
-        plan = udpipe.parse_label.__wrapped__(text)
+        plan = udpipe.parse_label(text)
     except ParseError:
         return
     prefix, suffix = op_marks(plan[2]), op_marks(plan[3])
