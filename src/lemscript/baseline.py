@@ -144,6 +144,8 @@ def load_model(fp: IO[str]) -> BaselineModel:
         per_form, fallback = payload["per_form"], payload["fallback"]
     except json.JSONDecodeError as exc:
         raise FormatError(exc.lineno, f"invalid model JSON: {exc.msg}") from None
+    except UnicodeDecodeError:  # corpus_io.read_file finds its line
+        raise
     except (LookupError, TypeError, ValueError) as exc:
         raise FormatError(1, f"not a baseline model: {type(exc).__name__}: {exc}") from None
     if not isinstance(per_form, dict):

@@ -109,16 +109,17 @@ def parse_label(text: str) -> tuple[bool, tuple[tuple[str, int, str], ...]]:
     "I15" the index may be 15 or 1); the parser resolves this by trying
     the longest index first and backtracking until the whole label
     parses, which reproduces the encoder's serialization. Only the
-    encoder's order parses: indices never increase, only an I or an R
-    may follow an insert at the insert's own index, no R replaces a
-    character with itself, and no index has a leading zero. To bound
-    the next token with one number, the search ranks a token 2 × index,
-    plus one for a D: an insert keeps its rank as the next bound, and
-    any other token lowers it to one below the rank of an I at its
-    index. The search keeps its own stack, with each token's bound on
-    it, and remembers, per offset, the largest bound under which the
-    rest cannot parse; a smaller bound cannot parse either, so the rest
-    of a label is never parsed twice from one offset and bound.
+    encoder's order parses: each token has a lower index than the one
+    before it, or the same index after an insert unless it is a D; no R
+    replaces a character with itself, and no index has a leading zero.
+    The search keeps its own stack of token offsets and needs no memo:
+    where two splits first differ, their tokens have one kind and arity
+    a, and the shorter index ends at most a characters before the
+    longer, or its next token would start on a digit. Then the shorter
+    split's next token needs a digit where the longer one's needs its
+    kind, unless a is 2, the gap is two, and both go on as R tokens with
+    one-digit indices two characters apart. So no two splits start a
+    token at one offset, and each offset is tried once.
     """
     if not text:
         raise ParseError("empty ixapipes label")
@@ -128,11 +129,9 @@ def parse_label(text: str) -> tuple[bool, tuple[tuple[str, int, str], ...]]:
     body = text[1:] if lower_first else text
     n = len(body)
     tokens: list[tuple[str, int, str]] = []
-    spans: list[tuple[int, int, float]] = []  # (start, index end, bound there) of each token
-    dead: dict[int, float] = {}  # offset -> largest bound its rest fails under
+    spans: list[tuple[int, int]] = []  # (start, index end) of each token
     pos = 0
-    end = -1                     # next index end to try at pos; -1 on arrival
-    bound: float = float("inf")  # largest rank the token at pos may have
+    end = -1  # next index end to try at pos; -1 on arrival
     while pos < n:
         kind = body[pos]
         arity = 2 if kind == "R" else 1
@@ -146,28 +145,25 @@ def parse_label(text: str) -> tuple[bool, tuple[tuple[str, int, str], ...]]:
                 if end > pos + 2 and body[pos + 1] == "0":  # only "0" itself
                     end = pos + 2
         if end <= pos + 1:  # no index length left: back up to the previous token
-            dead[pos] = bound
             if not tokens:
                 raise ParseError(f"malformed ixapipes label {text!r}")
             tokens.pop()
-            pos, end, bound = spans.pop()
+            pos, end = spans.pop()
             end -= 1
             continue
         try:
             index = int(body[pos + 1 : end])
         except ValueError:  # beyond the interpreter's int-string limit
             raise ParseError("ixapipes index too long to convert") from None
-        rank = 2 * index + (kind == "D")
-        if rank > bound or kind == "R" and body[end] == body[end + 1]:
+        in_order = True  # the first token has none before it
+        if tokens:
+            last_kind, last, _ = tokens[-1]
+            in_order = index < last or index == last and last_kind == "I" and kind != "D"
+        if not in_order or kind == "R" and body[end] == body[end + 1]:
             end -= 1
             continue
-        after = rank if kind == "I" else 2 * index - 1
-        if end + arity in dead and dead[end + arity] >= after:
-            end -= 1
-        else:
-            tokens.append((kind, index, body[end : end + arity]))
-            spans.append((pos, end, bound))
-            pos = end + arity
-            end = -1
-            bound = after
+        tokens.append((kind, index, body[end : end + arity]))
+        spans.append((pos, end))
+        pos = end + arity
+        end = -1
     return lower_first, tuple(tokens)

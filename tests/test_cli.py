@@ -445,6 +445,64 @@ def test_mcnemar_names_the_prediction_file_at_fault(tmp_path, comparison_file, c
     assert capsys.readouterr().err == f"error: {joined}: 5 gold sentences vs 1 predicted\n"
 
 
+def test_eval_names_a_sentence_with_too_few_rows(tmp_path, capsys):
+    gold = tmp_path / "gold.conllu"
+    gold.write_text(
+        "1\tcats\tcat\tNOUN\t_\t_\t_\t_\t_\t_\n"
+        "2\tbirds\tbird\tNOUN\t_\t_\t_\t_\t_\t_\n"
+        "3\tdogs\tdog\tNOUN\t_\t_\t_\t_\t_\t_\n\n" + ROW + "\n",
+        encoding="utf-8",
+    )
+    pred = tmp_path / "p.tsv"
+    # four rows for four gold lemmas in two sentences, split 2 + 2 where gold has 3 + 1
+    pred.write_text("cats\tcat\nbirds\tbird\n\ndogs\tdog\ncats\tcat\n\n", encoding="utf-8")
+    assert main(["eval", str(gold), str(pred)]) == 2
+    message = "sentence 0: 3 gold lemmas in 3 words vs 2 predicted"
+    assert capsys.readouterr().err == f"error: {pred}: {message}\n"
+
+
+def test_eval_names_a_predicted_sentence_beyond_the_gold_ones(tmp_path, capsys):
+    gold = tmp_path / "gold.conllu"
+    gold.write_text(TWO_TOKEN_TRAIN, encoding="utf-8")
+    pred = tmp_path / "p.tsv"
+    pred.write_text("cats\tcat\n\nbirds\tbird\n\n", encoding="utf-8")
+    assert main(["eval", str(gold), str(pred)]) == 2
+    assert capsys.readouterr().err == f"error: {pred}: 1 gold sentences vs 2 predicted\n"
+
+
+def test_a_last_sentence_without_its_blank_line_is_read(tmp_path, comparison_file, capsys):
+    labeled = tmp_path / "labeled.tsv"
+    labeled.write_text("cats\tcat\tD0s\n\nbirds\tbird\tD0s", encoding="utf-8")
+    assert main(["decode", str(labeled), "-", "--scheme", "ixapipes"]) == 0
+    assert capsys.readouterr().out == "cats\tcat\n\nbirds\tbird\n\n"
+    pred = tmp_path / "pred.tsv"
+    pred.write_text("".join(f"{form}\t{lemma}\n\n" for form, lemma in COMPARISON_PAIRS)[:-2],
+                    encoding="utf-8")
+    assert main(["eval", str(comparison_file), str(pred), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["sentence_accuracy"] == 1.0
+
+
+def test_a_valid_alpha_reaches_the_mcnemar_and_compare_reports(tmp_path, comparison_file, capsys):
+    right = tmp_path / "right.tsv"
+    right.write_text("".join(f"{form}\t{lemma}\n\n" for form, lemma in COMPARISON_PAIRS), "utf-8")
+    wrong = tmp_path / "wrong.tsv"
+    wrong.write_text("".join(f"{form}\twrong\n\n" for form, _ in COMPARISON_PAIRS), "utf-8")
+    # b 5, c 0: statistic 3.2, p 0.0736, significant at 0.1 but not at the default 0.05
+    argv = ["mcnemar", str(comparison_file), str(right), str(wrong)]
+    assert main([*argv, "--format", "json"]) == 0
+    assert not json.loads(capsys.readouterr().out)["significant"]
+    assert main([*argv, "--alpha", "0.1", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["b"], payload["c"], payload["alpha"], payload["significant"]) == (5, 0, 0.1, True)
+    assert main([*argv, "--alpha", "0.1"]) == 0
+    assert "verdict:              significant at alpha=0.1\n" in capsys.readouterr().out
+    train = tmp_path / "train.conllu"
+    train.write_text(TWO_TOKEN_TRAIN, encoding="utf-8")
+    assert main(["compare", str(train), str(comparison_file), "--alpha", "0.2"]) == 0
+    results = json.loads(capsys.readouterr().out)["mcnemar"].values()
+    assert [result["alpha"] for result in results] == [0.2] * 3
+
+
 def test_unknown_flag_is_an_error(comparison_file, capsys):
     with pytest.raises(SystemExit) as err:
         main(["stats", str(comparison_file), "--bogus"])
@@ -497,6 +555,16 @@ def test_malformed_model_names_the_line(tmp_path, capsys, text, line):
     test.write_text(GENERALIZATION_TEST, encoding="utf-8")
     assert main(["predict", str(model), str(test), "-"]) == 2
     assert f"error: {model}:{line}: " in capsys.readouterr().err
+
+
+def test_non_utf8_model_names_the_line(tmp_path, capsys):
+    model = tmp_path / "bad_model.json"
+    model.write_bytes(b'{\n  "scheme": "ixapipes",\n  "per_form": {"b\xffd": "D0s"},\n'
+                      b'  "fallback": "D0s"\n}\n')
+    test = tmp_path / "test.conllu"
+    test.write_text(GENERALIZATION_TEST, encoding="utf-8")
+    assert main(["predict", str(model), str(test), "-"]) == 2
+    assert capsys.readouterr().err == f"error: {model}:3: not UTF-8 (invalid start byte)\n"
 
 
 def test_format_error_names_the_path(tmp_path, capsys):

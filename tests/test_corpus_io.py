@@ -269,6 +269,19 @@ def test_parse_labeled_rejects_bad_rows():
         parse_labeled(["cats\tcat"], Scheme.UDPIPE)
 
 
+def test_parse_labeled_rejects_an_empty_label_column():
+    with pytest.raises(FormatError) as err:
+        parse_labeled(["cats\tcat\tD0s", "", "birds\tbird\t"], Scheme.IXAPIPES)
+    assert (err.value.line_number, err.value.message) == (3, "empty label column")
+
+
+def test_label_pairs_names_a_label_that_decodes_to_another_lemma(monkeypatch):
+    monkeypatch.setattr(schemes, "encode", lambda scheme, form, lemma: schemes.from_text(
+        Scheme.IXAPIPES, "D0s"))
+    assert label_pairs(Scheme.IXAPIPES, [("cats", "ca")]) == [
+        "decoded to 'cat' instead of gold lemma"]
+
+
 def test_comparison_conllu_fixture_parses(comparison_corpus):
     parsed = parse_conllu(COMPARISON_CONLLU.splitlines())
     assert [

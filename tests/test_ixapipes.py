@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import time
+from collections import Counter
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -217,6 +221,108 @@ def test_an_accepted_plan_keeps_the_encoder_rules(text):
         assert all(chars[0] != chars[1] for kind, _, chars in tokens if kind == "R")
         for (kind, index, _), (next_kind, next_index, _) in zip(tokens, tokens[1:]):
             assert (kind, next_kind, index) != ("I", "D", next_index)
+
+
+# --- completeness: a brute-force reference for the search ------------------
+
+DIGITS = "0123456789"
+
+
+def grammar_tokens(body, pos):
+    """Every (kind, index text, chars, next offset) the grammar allows at pos,
+    longest index first, with none of the encoder's rules applied."""
+    if pos >= len(body) or body[pos] not in "RDI":
+        return []
+    kind = body[pos]
+    arity = 2 if kind == "R" else 1
+    end = pos + 1
+    while end < len(body) and body[end] in DIGITS:
+        end += 1
+    return [
+        (kind, body[pos + 1 : stop], body[stop : stop + arity], stop + arity)
+        for stop in range(end, pos + 1, -1)
+        if stop + arity <= len(body)
+    ]
+
+
+def keeps_rules(last, token, index_text):
+    kind, index, chars = token
+    if len(index_text) > 1 and index_text[0] == "0" or kind == "R" and chars[0] == chars[1]:
+        return False
+    if last is None:
+        return True
+    last_kind, last_index, _ = last
+    return index < last_index or index == last_index and last_kind == "I" and kind != "D"
+
+
+def reference_splits(body, pos=0, last=None):
+    """Every split of body[pos:] that keeps the rules, longest index first."""
+    if pos == len(body):
+        yield ()
+    for kind, index_text, chars, after in grammar_tokens(body, pos):
+        token = (kind, int(index_text), chars)
+        if keeps_rules(last, token, index_text):
+            for rest in reference_splits(body, after, token):
+                yield (token, *rest)
+
+
+def reference_parse(text):
+    if not text:
+        raise ParseError("empty ixapipes label")
+    if text == ixapipes.IDENTITY:
+        return False, ()
+    lower_first = text.startswith(ixapipes.LOWER_FLAG)
+    tokens = next(reference_splits(text[1:] if lower_first else text), None)
+    if tokens is None:
+        raise ParseError(f"malformed ixapipes label {text!r}")
+    return lower_first, tokens
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+SMALL_TEXTS = ["".join(p) for size in range(7) for p in product("RDI01a", repeat=size)]
+
+
+def test_the_search_finds_the_first_split_that_keeps_the_rules():
+    # every text with a valid split is accepted, with the split the
+    # encoder writes; every other text fails with the same message
+    for text in SMALL_TEXTS:
+        for candidate in (text, ixapipes.LOWER_FLAG + text):
+            assert outcome(ixapipes.parse_label, candidate) == outcome(reference_parse, candidate)
+
+
+def test_no_two_splits_start_a_token_at_one_offset():
+    # the reason the search needs no memo: ignoring every rule, each
+    # offset is the end of at most one token prefix
+    for body in SMALL_TEXTS:
+        prefixes = Counter({0: 1})
+        for pos in range(len(body)):
+            for *_, after in grammar_tokens(body, pos):
+                prefixes[after] += prefixes[pos]
+        assert max(prefixes.values()) == 1, body
+
+
+LONG_CHAINS = {
+    "R1": "R1" * 10_000,
+    "I1R1": "I1R1" * 10_000,
+    # these parse 10,000 and 20,000 tokens, then back up through all of them
+    "I1R then X": "I1R" * 10_000 + "X",
+    "IkaRkab then X": "".join(f"I{i}aR{i}ab" for i in range(10_000, 0, -1)) + "X",
+}
+
+
+@pytest.mark.parametrize("text", LONG_CHAINS.values(), ids=LONG_CHAINS)
+def test_long_chains_parse_or_fail_in_time(text):
+    start = time.perf_counter()
+    for candidate in (text, ixapipes.LOWER_FLAG + text):
+        with pytest.raises(ParseError):
+            ixapipes.parse_label(candidate)
+    assert time.perf_counter() - start < 10
 
 
 def test_identity_label_only_alone():

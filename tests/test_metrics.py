@@ -75,6 +75,11 @@ def test_sentence_accuracy_structure_mismatch():
         sentence_accuracy([["a", "b"]], [["a"]])
 
 
+def test_sentence_accuracy_over_no_sentences_is_undefined():
+    with pytest.raises(EmptyEval, match="^sentence accuracy over zero sentences is undefined$"):
+        sentence_accuracy([], [])
+
+
 # --- mcnemar ----------------------------------------------------------------
 
 def test_mcnemar_reference_value():
@@ -214,6 +219,12 @@ def test_oov_report_scheme_mismatch():
         oov_report(train, test)
 
 
+def test_oov_report_over_an_empty_test_corpus_is_undefined():
+    train = _labeled([("cats", "cat")], Scheme.UDPIPE)
+    with pytest.raises(EmptyEval, match="^oov report over an empty test corpus is undefined$"):
+        oov_report(train, LabeledCorpus(Scheme.UDPIPE))
+
+
 @pytest.mark.parametrize("scheme", list(Scheme))
 @pytest.mark.parametrize("plain_side", ["train", "test"])
 def test_oov_report_takes_a_scheme_given_as_its_value(scheme, plain_side):
@@ -244,6 +255,12 @@ def test_inv_oov_split():
     )
     assert inv == 1.0
     assert oov == 0.0
+
+
+def test_inv_oov_empty_and_mismatched_inputs():
+    assert inv_oov_accuracy({"a"}, [], [], []) == (None, None)
+    with pytest.raises(LengthMismatch, match="^lengths differ: forms 2, gold 1, pred 2$"):
+        inv_oov_accuracy({"a"}, ["a", "b"], ["la"], ["la", "lb"])
 
 
 def test_inv_oov_hand_case():
